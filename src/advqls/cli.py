@@ -28,6 +28,10 @@ from . import pauli, problem, resources, spsa, vqls
 __all__ = ["RunConfig", "main"]
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class RunConfig:
     """Complete, serializable configuration of an ensemble run."""
@@ -41,6 +45,18 @@ class RunConfig:
     workers: int = 1
     classical_only: bool = False
     out_dir: str | None = None          # default when --out is not given
+
+    def __post_init__(self):
+        for name, value in (("workers", self.workers), ("ensemble_size", self.ensemble_size)):
+            if not _is_count(value):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.shots is not None and not _is_count(self.shots):
+            raise ValueError(f"shots must be an integer >= 1, null or 'exact', got {self.shots!r}")
+        known = {f.name for f in dataclasses.fields(spsa.SpsaConfig)}
+        unknown = set(self.spsa_overrides) - known
+        if unknown:
+            raise ValueError(f"unknown spsa_overrides keys: {sorted(unknown)}")
+        self.spsa_config()  # the override values pass SpsaConfig's own checks
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -89,17 +105,19 @@ class RunConfig:
 
 
 def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """A copy of `cfg` with the flags applied, validated like a loaded file."""
+    changes: dict = {}
     if getattr(args, "seed", None) is not None:
-        cfg.base_seed = args.seed
+        changes["base_seed"] = args.seed
     if getattr(args, "ensemble", None) is not None:
-        cfg.ensemble_size = args.ensemble
+        changes["ensemble_size"] = args.ensemble
     if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
+        changes["workers"] = args.workers
     if getattr(args, "shots", None) is not None:
-        cfg.shots = None if args.shots == "exact" else int(args.shots)
+        changes["shots"] = None if args.shots == "exact" else int(args.shots)
     if getattr(args, "classical_only", False):
-        cfg.classical_only = True
-    return cfg
+        changes["classical_only"] = True
+    return dataclasses.replace(cfg, **changes)
 
 
 def _resolve_out(cfg: RunConfig, args: argparse.Namespace) -> Path:

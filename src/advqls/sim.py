@@ -83,11 +83,6 @@ class Gate:
     qubits: tuple[int, ...]
     angle: float | None = None
 
-    def inverse(self) -> "Gate":
-        if self.name in ("ry", "cry"):
-            return Gate(self.name, self.qubits, -self.angle)
-        return self  # H, X, Z, CZ, CX are involutions
-
 
 _SINGLE = {"h", "x", "z", "ry"}
 _CONTROLLED = {"cz", "cx", "cry"}

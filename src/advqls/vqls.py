@@ -13,10 +13,23 @@ is assembled from the constituent expectation values
     delta_ll'^q = <x| P_l U Z_q U^dag P_l' |x>,
 
 where U prepares |b>. C is 0 exactly when A|x> is proportional to |b>.
-Both constituent matrices are Hermitian in (l, l'), so the evaluator
-computes only l <= l' and mirrors conjugates; with the unit beta diagonal
-known for free, the number of constituents per evaluation equals the
-"full symmetry" circuit-count mode reported by `circuit_count`.
+Both constituent matrices are Hermitian in (l, l'), so the term sum
+evaluates only l <= l' and mirrors conjugates; with the unit beta
+diagonal known for free, the number of constituents per evaluation
+equals the "full symmetry" circuit-count mode reported by
+`circuit_count`, which is what a device would run.
+
+Exact mode (`solve` with shots=None) evaluates the same cost in closed
+form. The ansatz is real, so the cost is a ratio of two real quadratic
+forms,
+
+    C = x^T H x / x^T G x,   H = Re A^dag U (I/2 - sum_q Z_q / 2Q) U^dag A,
+                             G = Re A^dag A,
+
+with H and G built once per evaluator, and the state comes from
+`ansatz_amplitudes` without the gate interpreter. The term sum
+(`CostEvaluator.local_cost`) serves shot mode and stays as the
+independent oracle for the closed form.
 
 In shot-sampled mode each constituent is estimated at the requested shot
 count: beta pairs reduce to a single Pauli string by phase algebra, and
@@ -28,6 +41,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +53,7 @@ __all__ = [
     "CostEvaluator",
     "DegenerateStateError",
     "SolveRecord",
+    "ansatz_amplitudes",
     "ansatz_circuit",
     "ansatz_state",
     "circuit_count",
@@ -77,11 +92,16 @@ class AnsatzConfig:
         return self.num_qubits * self.units
 
 
-def ansatz_circuit(cfg: AnsatzConfig, theta: np.ndarray) -> sim.Circuit:
-    """One unit = H on every qubit, CZ on each adjacent pair, Ry layer."""
+def _angles(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != cfg.n_params:
         raise ValueError(f"expected {cfg.n_params} angles, got {theta.size}")
+    return theta
+
+
+def ansatz_circuit(cfg: AnsatzConfig, theta: np.ndarray) -> sim.Circuit:
+    """One unit = H on every qubit, CZ on each adjacent pair, Ry layer."""
+    theta = _angles(cfg, theta)
     circuit = sim.Circuit(cfg.num_qubits)
     k = 0
     for _ in range(cfg.units):
@@ -97,6 +117,44 @@ def ansatz_circuit(cfg: AnsatzConfig, theta: np.ndarray) -> sim.Circuit:
 
 def ansatz_state(cfg: AnsatzConfig, theta: np.ndarray) -> sim.StateVector:
     return ansatz_circuit(cfg, theta).run()
+
+
+@lru_cache(maxsize=None)
+def _entangler(num_qubits: int) -> np.ndarray:
+    """W = (CZ chain) H^(x)Q, the angle-free part of one unit (read-only, cached)."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    w = np.ones((1, 1))
+    for _ in range(num_qubits):
+        w = np.kron(w, hadamard)
+    idx = np.arange(2**num_qubits)
+    bits = [(idx >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
+    cz_parity = np.zeros_like(idx)
+    for q in range(num_qubits - 1):
+        cz_parity ^= bits[q] & bits[q + 1]
+    w = (1.0 - 2.0 * cz_parity)[:, None] * w
+    w.setflags(write=False)
+    return w
+
+
+def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """Real amplitudes of `ansatz_circuit(cfg, theta).run()`.
+
+    Each unit is one product with the cached entangler followed by the
+    Ry layer, the Ry on qubit q acting on the middle axis of a
+    (2**q, 2, -1) view.
+    """
+    nq = cfg.num_qubits
+    half = _angles(cfg, theta).reshape(cfg.units, nq) / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    ry = np.stack((np.stack((cos, -sin), -1), np.stack((sin, cos), -1)), -2)
+    w = _entangler(nq)
+    x = np.zeros(2**nq)
+    x[0] = 1.0
+    for unit in ry:
+        x = w @ x
+        for q in range(nq):
+            x = (unit[q] @ x.reshape(2**q, 2, -1)).ravel()
+    return x
 
 
 @dataclass
@@ -157,6 +215,12 @@ class CostEvaluator:
             z_label = "I" * q + "Z" + "I" * (nq - 1 - q)
             w = pauli.decompose(u @ pauli.label_matrix(z_label) @ self.udag)
             self._w_terms.append([(t.coefficient, t.label) for t in w.terms])
+        # Closed form of the exact cost for real x: the imaginary parts of
+        # these Hermitian matrices are antisymmetric and cancel in x^T M x.
+        a = pauli.reconstruct(decomposition)
+        local = u @ np.diag(0.5 - sum(self._z) / (2.0 * nq)) @ self.udag
+        self._h = np.real(a.conj().T @ local @ a)
+        self._g = np.real(a.conj().T @ a)
 
     @property
     def term_count(self) -> int:
@@ -172,13 +236,10 @@ class CostEvaluator:
             value = sim.sample_expectation(state, label, shots, rng)
         return phase * value
 
-    def _delta(self, state, q, l, lp, shots=None, rng=None, udag_cols=None) -> complex:
+    def _delta(self, state, q, l, lp, shots=None, rng=None) -> complex:
         if shots is None:
-            if udag_cols is None:
-                lhs = self.udag @ (self._term_mats[l] @ state.amplitudes)
-                rhs = self.udag @ (self._term_mats[lp] @ state.amplitudes)
-            else:
-                lhs, rhs = udag_cols[l], udag_cols[lp]
+            lhs = self.udag @ (self._term_mats[l] @ state.amplitudes)
+            rhs = self.udag @ (self._term_mats[lp] @ state.amplitudes)
             return complex(np.vdot(lhs, self._z[q] * rhs))
         total = 0j
         for w_coeff, w_label in self._w_terms[q]:
@@ -206,6 +267,15 @@ class CostEvaluator:
 
     # -- cost ----------------------------------------------------------
 
+    def dense_cost(self, x: np.ndarray) -> float:
+        """Exact cost x^T H x / x^T G x of real amplitudes x (see module doc)."""
+        denominator = float(x @ self._g @ x)
+        if denominator < 1e-12:
+            raise DegenerateStateError(
+                "norm of A|x(theta)> is numerically zero; cost undefined"
+            )
+        return float(x @ self._h @ x) / denominator
+
     def local_cost(self, theta: np.ndarray, shots=None, rng=None) -> CostBreakdown:
         return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
 
@@ -221,9 +291,6 @@ class CostEvaluator:
             rng = np.random.default_rng()
         beta = np.eye(n_terms, dtype=complex)
         delta = np.zeros((nq, n_terms, n_terms), dtype=complex)
-        udag_cols = None
-        if shots is None:
-            udag_cols = [self.udag @ (mat @ state.amplitudes) for mat in self._term_mats]
         for l in range(n_terms):
             for lp in range(l + 1, n_terms):
                 beta[l, lp] = self._beta(state, l, lp, shots, rng)
@@ -231,7 +298,7 @@ class CostEvaluator:
         for q in range(nq):
             for l in range(n_terms):
                 for lp in range(l, n_terms):
-                    delta[q, l, lp] = self._delta(state, q, l, lp, shots, rng, udag_cols)
+                    delta[q, l, lp] = self._delta(state, q, l, lp, shots, rng)
                     if lp != l:
                         delta[q, lp, l] = np.conj(delta[q, l, lp])
         c = self.coefficients
@@ -302,7 +369,7 @@ def extract_solution(
     theta: np.ndarray, system: problem.BlockSystem, cfg: AnsatzConfig
 ) -> np.ndarray:
     """Fields u(t = dt), u(t = 2 dt), ... from a parameter vector."""
-    return rescale_solution(ansatz_state(cfg, theta).amplitudes, system)
+    return rescale_solution(ansatz_amplitudes(cfg, theta), system)
 
 
 # -- end-to-end solve ----------------------------------------------------
@@ -321,6 +388,8 @@ class SolveRecord:
     seed: int
     shots: int | None
     converged: bool
+    # Circuits a device would run per evaluation (`circuit_count` under
+    # full_sym), not the work of the closed-form exact path.
     circuits_per_evaluation: int
     cost_evaluations: int
 
@@ -417,7 +486,7 @@ def solve(
 
     if shots is None:
         def cost_fn(theta):
-            return evaluator.local_cost(theta).value
+            return evaluator.dense_cost(ansatz_amplitudes(ansatz, theta))
     else:
         if shots < 1:
             raise ValueError("shots must be >= 1")
@@ -429,7 +498,7 @@ def solve(
 
     def record(_k, theta, _cost):
         solution_trace.append(
-            rescale_solution(ansatz_state(ansatz, theta).amplitudes, system)
+            rescale_solution(ansatz_amplitudes(ansatz, theta), system)
         )
 
     result = spsa.run(theta_init, cost_fn, spsa_cfg, rng=rng, callback=record)

@@ -279,3 +279,27 @@ class TestErrorContract:
         line = capsys.readouterr().err.strip()
         parsed = json.loads(line)
         assert set(parsed) == {"error", "message"}
+
+    @pytest.mark.parametrize(
+        "config_overrides, flags, message",
+        [
+            ({"workers": 0}, [], "workers"),
+            ({}, ["--workers", "0"], "workers"),
+            ({}, ["--ensemble", "0"], "ensemble_size"),
+            ({"shots": 0}, [], "shots"),
+            ({"shots": "many"}, [], "shots"),
+            ({}, ["--shots", "0"], "shots"),
+            ({"spsa_overrides": {"max_iter": 5, "bogus": 1}}, [], "bogus"),
+        ],
+    )
+    def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):
+        config = write_config(tmp_path, **config_overrides)
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["solve", "--config", config, "--out", str(out), *flags]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert message in parsed["message"]
+        assert list(out.iterdir()) == []

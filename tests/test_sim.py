@@ -68,17 +68,6 @@ class TestApply:
         state = random_circuit(3, 50, rng).run()
         assert state.norm == pytest.approx(1.0, abs=1e-10)
 
-    def test_gate_inverse_roundtrip(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            circuit = random_circuit(3, 1, rng)
-            state = random_circuit(3, 10, rng).run()
-            before = state.amplitudes.copy()
-            gate = circuit.gates[0]
-            apply(state, gate)
-            apply(state, gate.inverse())
-            assert np.abs(state.amplitudes - before).max() <= 1e-12
-
     def test_out_of_range_qubit(self):
         state = StateVector.zero(2)
         with pytest.raises(ValueError, match="out of range"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from advqls.vqls import (
     AnsatzConfig,
     CostEvaluator,
     DegenerateStateError,
+    ansatz_amplitudes,
     ansatz_circuit,
     ansatz_state,
     circuit_count,
@@ -72,6 +75,19 @@ class TestAnsatz:
     def test_angle_count_checked(self):
         with pytest.raises(ValueError, match="angles"):
             ansatz_state(ANSATZ, np.zeros(7))
+        with pytest.raises(ValueError, match="angles"):
+            ansatz_amplitudes(ANSATZ, np.zeros(7))
+
+    @pytest.mark.parametrize("num_qubits", range(1, 6))
+    @pytest.mark.parametrize("units", range(1, 5))
+    def test_real_amplitudes_match_circuit(self, num_qubits, units):
+        cfg = AnsatzConfig(num_qubits=num_qubits, units=units)
+        rng = np.random.default_rng(100 * num_qubits + units)
+        for _ in range(5):
+            theta = rng.uniform(0, 2 * np.pi, cfg.n_params)
+            x = ansatz_amplitudes(cfg, theta)
+            assert x.dtype == np.float64
+            assert np.abs(x - ansatz_circuit(cfg, theta).run().amplitudes).max() <= 1e-12
 
 
 class TestBetaTerm:
@@ -190,11 +206,27 @@ class TestLocalCost:
         state = sim.StateVector.from_amplitudes(np.array([0.0, 1.0]))
         with pytest.raises(DegenerateStateError):
             ev.local_cost_of_state(state)
+        with pytest.raises(DegenerateStateError):
+            ev.dense_cost(state.amplitudes.real)
 
     def test_empty_decomposition_rejected(self):
         empty = pauli.PauliDecomposition(num_qubits=3, terms=())
         with pytest.raises(ValueError, match="no terms"):
             CostEvaluator(empty, ANSATZ, B_CIRCUIT)
+
+
+class TestDenseCost:
+    @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (16, 3)])
+    def test_matches_term_sum(self, n, n_t):
+        # (16, 3) has no two-angle template, so b-prep is the Householder reflection
+        system = problem.build_block_system(problem.ProblemSpec(n=n, n_t=n_t))
+        cfg = AnsatzConfig(num_qubits=system.b_state.size.bit_length() - 1, units=4)
+        ev = CostEvaluator(pauli.decompose(system.a_reduced), cfg, vqls._b_preparation(system))
+        rng = np.random.default_rng(n + n_t)
+        for _ in range(20):
+            theta = rng.uniform(0, 2 * np.pi, cfg.n_params)
+            dense = ev.dense_cost(ansatz_amplitudes(cfg, theta))
+            assert abs(dense - ev.local_cost(theta).value) <= 1e-10
 
 
 class TestCircuitCount:
@@ -306,11 +338,14 @@ class TestSolve:
 
     def test_run_ensemble_parallel_matches_serial(self):
         cfg = spsa.SpsaConfig(max_iter=3, stop_rule="none")
-        serial = run_ensemble(SPEC, spsa_cfg=cfg, base_seed=0, ensemble_size=2, workers=1)
-        parallel = run_ensemble(SPEC, spsa_cfg=cfg, base_seed=0, ensemble_size=2, workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.cost_trace == b.cost_trace
-            assert np.array_equal(a.u_fields, b.u_fields)
+
+        def record_bytes(workers):
+            records = run_ensemble(SPEC, spsa_cfg=cfg, base_seed=0, ensemble_size=2, workers=workers)
+            return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+
+        serial = record_bytes(1)
+        assert record_bytes(1) == serial
+        assert record_bytes(2) == serial
 
 
 class TestBPreparation:
