@@ -114,7 +114,15 @@ def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "workers", None) is not None:
         changes["workers"] = args.workers
     if getattr(args, "shots", None) is not None:
-        changes["shots"] = None if args.shots == "exact" else int(args.shots)
+        if args.shots == "exact":
+            changes["shots"] = None
+        else:
+            try:
+                changes["shots"] = int(args.shots)
+            except ValueError:
+                raise ValueError(
+                    f"--shots must be an integer >= 1 or 'exact', got {args.shots!r}"
+                ) from None
     if getattr(args, "classical_only", False):
         changes["classical_only"] = True
     return dataclasses.replace(cfg, **changes)
@@ -176,6 +184,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     cfg = _apply_cli_overrides(cfg, args)
     out_dir = _resolve_out(cfg, args)
+    ansatz = None if cfg.classical_only else cfg.ansatz()
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "solve", cfg.to_dict())
     spec = cfg.problem
@@ -185,7 +194,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     records = vqls.run_ensemble(
         spec,
-        ansatz=cfg.ansatz(),
+        ansatz=ansatz,
         spsa_cfg=cfg.spsa_config(),
         shots=cfg.shots,
         base_seed=cfg.base_seed,

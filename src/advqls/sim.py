@@ -7,8 +7,8 @@ Conventions used across the package:
   the rest in |0>. Reshaping the amplitude vector to ``[2] * Q`` puts
   qubit q on axis q.
 * Ry(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]; every gate in
-  the supported set {H, X, Z, Ry, CZ, CRy, CX} is therefore real, and a
-  circuit built from them keeps real amplitudes real.
+  the supported set {H, Ry, CZ, CRy} is therefore real, and a circuit
+  built from them keeps real amplitudes real.
 
 A StateVector is mutated in place by `apply`; share states across
 threads only for reading.
@@ -34,8 +34,6 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Maps the Y eigenbasis onto the Z basis: (H S†) Y (H S†)† = Z.
 _Y_TO_Z = np.array([[1, -1j], [1, 1j]], dtype=complex) * _INV_SQRT2
 
@@ -73,9 +71,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -84,13 +79,13 @@ class Gate:
     angle: float | None = None
 
 
-_SINGLE = {"h", "x", "z", "ry"}
-_CONTROLLED = {"cz", "cx", "cry"}
+_SINGLE = {"h", "ry"}
+_CONTROLLED = {"cz", "cry"}
 
 
 @dataclass
 class Circuit:
-    """An ordered gate list over {H, X, Z, Ry, CZ, CRy, CX}."""
+    """An ordered gate list over {H, Ry, CZ, CRy}."""
 
     num_qubits: int
     gates: list[Gate] = field(default_factory=list)
@@ -107,16 +102,6 @@ class Circuit:
         self.gates.append(Gate("h", (q,)))
         return self
 
-    def x(self, q: int) -> "Circuit":
-        self._check(q)
-        self.gates.append(Gate("x", (q,)))
-        return self
-
-    def z(self, q: int) -> "Circuit":
-        self._check(q)
-        self.gates.append(Gate("z", (q,)))
-        return self
-
     def ry(self, angle: float, q: int) -> "Circuit":
         self._check(q)
         self.gates.append(Gate("ry", (q,), float(angle)))
@@ -125,11 +110,6 @@ class Circuit:
     def cz(self, control: int, target: int) -> "Circuit":
         self._check(control, target)
         self.gates.append(Gate("cz", (control, target)))
-        return self
-
-    def cx(self, control: int, target: int) -> "Circuit":
-        self._check(control, target)
-        self.gates.append(Gate("cx", (control, target)))
         return self
 
     def cry(self, angle: float, control: int, target: int) -> "Circuit":
@@ -157,17 +137,7 @@ class Circuit:
 
 
 def _matrix_1q(gate: Gate) -> np.ndarray:
-    if gate.name == "h":
-        return _H
-    if gate.name == "x":
-        return _X
-    if gate.name == "z":
-        return _Z
-    if gate.name == "ry":
-        return _ry(gate.angle)
-    if gate.name == "cry":
-        return _ry(gate.angle)
-    raise ValueError(f"unknown gate {gate.name!r}")
+    return _H if gate.name == "h" else _ry(gate.angle)
 
 
 def _apply_1q_matrix(amps: np.ndarray, m: np.ndarray, q: int, num_qubits: int) -> np.ndarray:
@@ -200,9 +170,8 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
         # Axis of the target inside the slab shifts down once the control
         # axis has been indexed away.
         sub_axis = target - (1 if control < target else 0)
-        m = _X if gate.name == "cx" else _ry(gate.angle)
         rotated = np.moveaxis(
-            np.tensordot(m, sub, axes=([1], [sub_axis])), 0, sub_axis
+            np.tensordot(_ry(gate.angle), sub, axes=([1], [sub_axis])), 0, sub_axis
         )
         t[tuple(sel)] = rotated
     state.amplitudes = np.ascontiguousarray(t).reshape(-1)

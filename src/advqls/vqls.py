@@ -13,35 +13,35 @@ is assembled from the constituent expectation values
     delta_ll'^q = <x| P_l U Z_q U^dag P_l' |x>,
 
 where U prepares |b>. C is 0 exactly when A|x> is proportional to |b>.
-Both constituent matrices are Hermitian in (l, l'), so the term sum
-evaluates only l <= l' and mirrors conjugates; with the unit beta
-diagonal known for free, the number of constituents per evaluation
-equals the "full symmetry" circuit-count mode reported by
-`circuit_count`, which is what a device would run.
+Both constituent matrices are Hermitian in (l, l'); the number of
+constituents a device needs per evaluation (l <= l' only, with the unit
+beta diagonal known for free) is the "full symmetry" circuit-count mode
+reported by `circuit_count`.
 
-Exact mode (`solve` with shots=None) evaluates the same cost in closed
-form. The ansatz is real, so the cost is a ratio of two real quadratic
-forms,
+The term sum (`CostEvaluator.local_cost`) has one exact and one sampled
+form. Exact, it builds all constituents as dense products of the Pauli
+matrices with the state; it is the independent oracle for the closed
+form below. Sampled, it walks one list of (constituent, weight, Pauli
+string) built on first use: beta pairs reduce to a single string
+by phase algebra, and delta triples expand U Z_q U^dag into Pauli
+strings conjugated by the P_l, P_l' pair, so every estimate is a
+weighted sum of sampled Pauli expectations.
+
+Exact mode (`solve` with shots=None) evaluates the cost in closed form.
+The ansatz is real, so the cost is a ratio of two real quadratic forms,
 
     C = x^T H x / x^T G x,   H = Re A^dag U (I/2 - sum_q Z_q / 2Q) U^dag A,
                              G = Re A^dag A,
 
 with H and G built once per evaluator, and the state comes from
-`ansatz_amplitudes` without the gate interpreter. The term sum
-(`CostEvaluator.local_cost`) serves shot mode and stays as the
-independent oracle for the closed form.
-
-In shot-sampled mode each constituent is estimated at the requested shot
-count: beta pairs reduce to a single Pauli string by phase algebra, and
-delta triples expand the fixed observable U Z_q U^dag into Pauli strings
-once, so every estimate is a mean of sampled Pauli expectations.
+`ansatz_amplitudes` without the gate interpreter.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -204,21 +204,13 @@ class CostEvaluator:
         if np.abs(u.conj().T @ u - np.eye(dim)).max() > 1e-10:
             raise ValueError("b-prep operator is not unitary")
         self.u = u
-        self.udag = u.conj().T
         self.num_qubits = nq
-        self._z = [_z_signs(nq, q) for q in range(nq)]
-        self._term_mats = [pauli.label_matrix(l) for l in self.labels]
-        # U Z_q U^dag expanded once; shot estimates of delta sample these
-        # Pauli strings conjugated by the A_l pair.
-        self._w_terms = []
-        for q in range(nq):
-            z_label = "I" * q + "Z" + "I" * (nq - 1 - q)
-            w = pauli.decompose(u @ pauli.label_matrix(z_label) @ self.udag)
-            self._w_terms.append([(t.coefficient, t.label) for t in w.terms])
+        self._z = np.array([_z_signs(nq, q) for q in range(nq)])
+        self._paulis = np.stack([pauli.label_matrix(l) for l in self.labels])
         # Closed form of the exact cost for real x: the imaginary parts of
         # these Hermitian matrices are antisymmetric and cancel in x^T M x.
         a = pauli.reconstruct(decomposition)
-        local = u @ np.diag(0.5 - sum(self._z) / (2.0 * nq)) @ self.udag
+        local = u @ np.diag(0.5 - sum(self._z) / (2.0 * nq)) @ u.conj().T
         self._h = np.real(a.conj().T @ local @ a)
         self._g = np.real(a.conj().T @ a)
 
@@ -226,44 +218,30 @@ class CostEvaluator:
     def term_count(self) -> int:
         return len(self.labels)
 
-    # -- constituent expectations -------------------------------------
+    @cached_property
+    def _sampled_strings(self) -> list[tuple[tuple[int, int, int], complex, str]]:
+        """(slot, weight, label) of every Pauli string shot mode samples.
 
-    def _beta(self, state, l, lp, shots=None, rng=None) -> complex:
-        phase, label = pauli.pauli_product(self.labels[l], self.labels[lp])
-        if shots is None:
-            value = sim.expectation(state, label)
-        else:
-            value = sim.sample_expectation(state, label, shots, rng)
-        return phase * value
-
-    def _delta(self, state, q, l, lp, shots=None, rng=None) -> complex:
-        if shots is None:
-            lhs = self.udag @ (self._term_mats[l] @ state.amplitudes)
-            rhs = self.udag @ (self._term_mats[lp] @ state.amplitudes)
-            return complex(np.vdot(lhs, self._z[q] * rhs))
-        total = 0j
-        for w_coeff, w_label in self._w_terms[q]:
-            phase1, mid = pauli.pauli_product(self.labels[l], w_label)
-            phase2, full = pauli.pauli_product(mid, self.labels[lp])
-            total += w_coeff * phase1 * phase2 * sim.sample_expectation(state, full, shots, rng)
-        return total
-
-    def beta_term(self, l: int, lp: int, theta: np.ndarray, shots=None, rng=None) -> complex:
-        """<x(theta)| P_l P_l' |x(theta)> via a single Pauli expectation."""
-        self._check_indices(l, lp)
-        return self._beta(ansatz_state(self.ansatz, theta), l, lp, shots, rng)
-
-    def delta_term(self, q: int, l: int, lp: int, theta: np.ndarray, shots=None, rng=None) -> complex:
-        """<x(theta)| P_l U Z_q U^dag P_l' |x(theta)> by statevector composition."""
-        self._check_indices(l, lp)
-        if not 0 <= q < self.num_qubits:
-            raise IndexError(f"qubit index {q} out of range")
-        return self._delta(ansatz_state(self.ansatz, theta), q, l, lp, shots, rng)
-
-    def _check_indices(self, l: int, lp: int) -> None:
-        n = self.term_count
-        if not (0 <= l < n and 0 <= lp < n):
-            raise IndexError(f"term index out of range for {n} terms")
+        Slot (0, l, l') is beta_ll' for l < l', reduced to one string by
+        phase algebra; slot (1 + q, l, l') is delta_ll'^q for l <= l', with
+        U Z_q U^dag expanded into Pauli strings and each conjugated by the
+        P_l, P_l' pair. The list order is the sampling order.
+        """
+        labels, n_terms = self.labels, self.term_count
+        strings = []
+        for l in range(n_terms):
+            for lp in range(l + 1, n_terms):
+                phase, label = pauli.pauli_product(labels[l], labels[lp])
+                strings.append(((0, l, lp), phase, label))
+        for q in range(self.num_qubits):
+            observable = pauli.decompose(self.u @ np.diag(self._z[q]) @ self.u.conj().T)
+            for l in range(n_terms):
+                for lp in range(l, n_terms):
+                    for term in observable.terms:
+                        phase1, mid = pauli.pauli_product(labels[l], term.label)
+                        phase2, full = pauli.pauli_product(mid, labels[lp])
+                        strings.append(((1 + q, l, lp), term.coefficient * phase1 * phase2, full))
+        return strings
 
     # -- cost ----------------------------------------------------------
 
@@ -280,27 +258,30 @@ class CostEvaluator:
         return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
 
     def local_cost_of_state(self, state: sim.StateVector, shots=None, rng=None) -> CostBreakdown:
-        """Assemble the cost from constituents (exact or shot-sampled).
+        """Assemble the cost from its constituents (exact or shot-sampled).
 
-        Only l <= l' constituents are evaluated; the rest follow from
-        conjugate symmetry, and the beta diagonal is 1 by unitarity.
+        Exact constituents are dense products: with V = [P_l x]_l and
+        W = U^dag V, beta = V^dag V and delta_q = W^dag diag(z_q) W. Shot
+        mode estimates the l < l' beta and l <= l' delta constituents and
+        mirrors the rest by conjugate symmetry; the beta diagonal is 1 by
+        unitarity.
         """
         n_terms = len(self.labels)
         nq = self.num_qubits
-        if shots is not None and rng is None:
-            rng = np.random.default_rng()
-        beta = np.eye(n_terms, dtype=complex)
-        delta = np.zeros((nq, n_terms, n_terms), dtype=complex)
-        for l in range(n_terms):
-            for lp in range(l + 1, n_terms):
-                beta[l, lp] = self._beta(state, l, lp, shots, rng)
-                beta[lp, l] = np.conj(beta[l, lp])
-        for q in range(nq):
-            for l in range(n_terms):
-                for lp in range(l, n_terms):
-                    delta[q, l, lp] = self._delta(state, q, l, lp, shots, rng)
-                    if lp != l:
-                        delta[q, lp, l] = np.conj(delta[q, l, lp])
+        if shots is None:
+            v = (self._paulis @ state.amplitudes).T
+            w = self.u.conj().T @ v
+            beta = v.conj().T @ v
+            delta = (w.conj().T * self._z[:, None, :]) @ w
+        else:
+            if rng is None:
+                rng = np.random.default_rng()
+            terms = np.zeros((1 + nq, n_terms, n_terms), dtype=complex)
+            for slot, weight, label in self._sampled_strings:
+                terms[slot] += weight * sim.sample_expectation(state, label, shots, rng)
+            terms += np.triu(terms, 1).conj().swapaxes(1, 2)
+            terms[0] += np.eye(n_terms)
+            beta, delta = terms[0], terms[1:]
         c = self.coefficients
         denominator = float(np.real(c.conj() @ beta @ c))
         if denominator < 1e-12:

@@ -118,6 +118,14 @@ class TestSolveCommand:
         assert not (out / "member_000.json").exists()
         assert not (out / "ensemble_mean.csv").exists()
 
+    def test_classical_only_accepts_spec_without_register(self, tmp_path):
+        # reduced dimension 6 maps onto no qubit register, but the classical
+        # reference needs none
+        config = write_config(tmp_path, problem={"n": 3})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out), "--classical-only"]) == 0
+        assert len(read_csv(out / "classical_reference.csv")) == 4
+
     def test_reference_csv_values(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -290,6 +298,8 @@ class TestErrorContract:
             ({"shots": "many"}, [], "shots"),
             ({}, ["--shots", "0"], "shots"),
             ({"spsa_overrides": {"max_iter": 5, "bogus": 1}}, [], "bogus"),
+            ({"problem": {"n": 3}}, [], "power of two"),
+            ({}, ["--shots", "many"], "--shots"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):

@@ -94,29 +94,25 @@ class TestBetaTerm:
     def test_diagonal_is_one(self, evaluator):
         rng = np.random.default_rng(5)
         theta = rng.uniform(0, 2 * np.pi, 12)
-        for l in range(DECOMP.term_count):
-            assert evaluator.beta_term(l, l, theta) == pytest.approx(1.0, abs=1e-12)
+        beta = evaluator.local_cost(theta).beta
+        assert np.abs(np.diag(beta) - 1.0).max() <= 1e-12
 
     def test_conjugate_symmetry(self, evaluator):
         rng = np.random.default_rng(7)
         for _ in range(20):
             theta = rng.uniform(0, 2 * np.pi, 12)
             l, lp = rng.integers(DECOMP.term_count, size=2)
-            forward = evaluator.beta_term(int(l), int(lp), theta)
-            backward = evaluator.beta_term(int(lp), int(l), theta)
-            assert backward == pytest.approx(np.conj(forward), abs=1e-12)
+            beta = evaluator.local_cost(theta).beta
+            assert beta[lp, l] == pytest.approx(np.conj(beta[l, lp]), abs=1e-12)
 
     def test_identity_times_pauli_is_expectation(self, evaluator):
         # III is term 0; pairing it with term j reduces to <x|P_j|x>
         theta = np.random.default_rng(9).uniform(0, 2 * np.pi, 12)
         state = ansatz_state(ANSATZ, theta)
+        beta = evaluator.local_cost(theta).beta
         for j, label in enumerate(DECOMP.labels):
             expected = sim.expectation(state, label)
-            assert evaluator.beta_term(0, j, theta) == pytest.approx(expected, abs=1e-12)
-
-    def test_index_bounds(self, evaluator):
-        with pytest.raises(IndexError):
-            evaluator.beta_term(0, 99, np.zeros(12))
+            assert beta[0, j] == pytest.approx(expected, abs=1e-12)
 
 
 class TestDeltaTerm:
@@ -125,10 +121,11 @@ class TestDeltaTerm:
         ev = CostEvaluator(DECOMP, ANSATZ, identity_prep)
         theta = np.random.default_rng(11).uniform(0, 2 * np.pi, 12)
         state = ansatz_state(ANSATZ, theta)
+        delta = ev.local_cost(theta).delta
         for q in range(3):
             z_label = "I" * q + "Z" + "I" * (2 - q)
             expected = sim.expectation(state, z_label)
-            assert ev.delta_term(q, 0, 0, theta) == pytest.approx(expected, abs=1e-12)
+            assert delta[q, 0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_conjugate_symmetry(self, evaluator):
         rng = np.random.default_rng(13)
@@ -136,13 +133,30 @@ class TestDeltaTerm:
             theta = rng.uniform(0, 2 * np.pi, 12)
             q = int(rng.integers(3))
             l, lp = (int(v) for v in rng.integers(DECOMP.term_count, size=2))
-            forward = evaluator.delta_term(q, l, lp, theta)
-            backward = evaluator.delta_term(q, lp, l, theta)
-            assert backward == pytest.approx(np.conj(forward), abs=1e-12)
+            delta = evaluator.local_cost(theta).delta
+            assert delta[q, lp, l] == pytest.approx(np.conj(delta[q, l, lp]), abs=1e-12)
 
-    def test_index_bounds(self, evaluator):
-        with pytest.raises(IndexError):
-            evaluator.delta_term(5, 0, 0, np.zeros(12))
+
+class TestSampledStrings:
+    @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (8, 2)])
+    def test_exact_sampler_gives_exact_constituents(self, monkeypatch, n, n_t):
+        # With the sampler replaced by the exact expectation, the shot path's
+        # phase algebra and U Z_q U^dag expansion must rebuild the dense
+        # constituents.
+        system = problem.build_block_system(problem.ProblemSpec(n=n, n_t=n_t))
+        cfg = AnsatzConfig(num_qubits=system.b_state.size.bit_length() - 1, units=4)
+        ev = CostEvaluator(pauli.decompose(system.a_reduced), cfg, vqls._b_preparation(system))
+        monkeypatch.setattr(
+            sim, "sample_expectation", lambda state, label, shots, rng: sim.expectation(state, label)
+        )
+        rng = np.random.default_rng(n + 10 * n_t)
+        for _ in range(5):
+            theta = rng.uniform(0, 2 * np.pi, cfg.n_params)
+            exact = ev.local_cost(theta)
+            sampled = ev.local_cost(theta, shots=1)
+            assert np.abs(sampled.beta - exact.beta).max() <= 1e-12
+            assert np.abs(sampled.delta - exact.delta).max() <= 1e-12
+            assert abs(sampled.value - exact.value) <= 1e-12
 
 
 class TestLocalCost:
@@ -307,6 +321,18 @@ class TestSolve:
         sampled = solve(SPEC, spsa_cfg=cfg, shots=512, seed=1)
         assert sampled.shots == 512
         assert sampled.cost_trace != exact.cost_trace
+
+    def test_exact_solve_decomposes_only_the_operator(self, monkeypatch):
+        calls = []
+        decompose = pauli.decompose
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return decompose(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(pauli, "decompose", counting)
+        solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=2, stop_rule="none"), seed=0)
+        assert calls == [SYSTEM.a_reduced.shape]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
