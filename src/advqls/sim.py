@@ -28,6 +28,7 @@ __all__ = [
     "apply",
     "expectation",
     "sample_expectation",
+    "measurement_basis",
     "prepare_b_circuit",
     "prepare_b",
 ]
@@ -226,18 +227,37 @@ def _parity_signs(label: str) -> np.ndarray:
     return signs
 
 
+def measurement_basis(label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rotation into the label's measurement basis and the +/-1
+    parity of each outcome over the label's non-identity qubits.
+
+    The rotation is the kron over qubits of I (for I and Z), H (for X)
+    and H S-dagger (for Y), so |rotation @ psi|^2 is the distribution
+    that `sample_expectation` samples from.
+    """
+    rotation = np.ones((1, 1), dtype=complex)
+    for ch in label:
+        if ch not in "IXYZ":
+            raise ValueError(f"invalid Pauli label {label!r}")
+        rotation = np.kron(rotation, _H if ch == "X" else _Y_TO_Z if ch == "Y" else np.eye(2))
+    return rotation, _parity_signs(label)
+
+
 def sample_expectation(
     state: StateVector,
     label: str,
     shots: int,
     seed: int | np.random.Generator | None = None,
 ) -> float:
-    """Shot-sampled <psi|P|psi>.
+    """Shot-sampled <psi|P|psi>, one string at a time.
 
-    Each non-identity qubit of the label is rotated into the Z basis
-    (H for X, H S-dagger for Y), bitstrings are drawn by inverse-CDF
-    sampling of the resulting probabilities, and the estimate is the
-    mean +/-1 parity over the label's non-identity qubits.
+    This is the per-string reference sampler; `vqls` shot mode draws the
+    counts of all its strings at once from `measurement_basis`
+    distributions. Each non-identity qubit of the label is rotated into
+    the Z basis (H for X, H S-dagger for Y), bitstrings are drawn by
+    inverse-CDF sampling of the resulting probabilities, and the
+    estimate is the mean +/-1 parity over the label's non-identity
+    qubits.
     """
     _validate_label(state, label)
     if shots < 1:

@@ -21,11 +21,14 @@ reported by `circuit_count`.
 The term sum (`CostEvaluator.local_cost`) has one exact and one sampled
 form. Exact, it builds all constituents as dense products of the Pauli
 matrices with the state; it is the independent oracle for the closed
-form below. Sampled, it walks one list of (constituent, weight, Pauli
-string) built on first use: beta pairs reduce to a single string
-by phase algebra, and delta triples expand U Z_q U^dag into Pauli
-strings conjugated by the P_l, P_l' pair, so every estimate is a
-weighted sum of sampled Pauli expectations.
+form below. Sampled, it measures one plan of weighted Pauli strings
+built on first use: beta pairs reduce to a single string by phase
+algebra, and delta triples expand U Z_q U^dag into Pauli strings
+conjugated by the P_l, P_l' pair, so every estimate is a weighted sum of
+sampled Pauli expectations. As on a device, each string is its own
+circuit with its own shots: one evaluation computes the outcome
+distribution once per distinct measurement basis and draws every
+string's outcome counts in one multinomial call.
 
 Exact mode (`solve` with shots=None) evaluates the cost in closed form.
 The ansatz is real, so the cost is a ratio of two real quadratic forms,
@@ -172,6 +175,32 @@ def _z_signs(num_qubits: int, q: int) -> np.ndarray:
     return 1.0 - 2.0 * ((idx >> (num_qubits - 1 - q)) & 1)
 
 
+def _check_shots(shots) -> None:
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+
+
+@dataclass(frozen=True)
+class _ShotPlan:
+    """What one shot-mode evaluation measures, built once per evaluator.
+
+    Row i of `slots`, `weights` and `which` is the i-th non-identity
+    string: its flat index into the (1 + Q, L, L) constituent array, its
+    complex weight, and the index of its label in `rotations` and
+    `signs` (one basis rotation and one outcome parity row per distinct
+    label). All-I strings have expectation 1, so their weights are
+    summed into `offset` and draw nothing.
+    """
+
+    strings: int              # all strings, all-I ones included
+    offset: np.ndarray        # (1 + Q, L, L)
+    slots: np.ndarray         # (S,)
+    weights: np.ndarray       # (S,)
+    which: np.ndarray         # (S,)
+    rotations: np.ndarray     # (D, 2^Q, 2^Q)
+    signs: np.ndarray         # (D, 2^Q)
+
+
 class CostEvaluator:
     """Evaluates the local cost for one (decomposition, ansatz, b-prep) triple.
 
@@ -219,13 +248,14 @@ class CostEvaluator:
         return len(self.labels)
 
     @cached_property
-    def _sampled_strings(self) -> list[tuple[tuple[int, int, int], complex, str]]:
-        """(slot, weight, label) of every Pauli string shot mode samples.
+    def _shot_plan(self) -> _ShotPlan:
+        """The Pauli strings shot mode measures, as arrays.
 
         Slot (0, l, l') is beta_ll' for l < l', reduced to one string by
         phase algebra; slot (1 + q, l, l') is delta_ll'^q for l <= l', with
         U Z_q U^dag expanded into Pauli strings and each conjugated by the
-        P_l, P_l' pair. The list order is the sampling order.
+        P_l, P_l' pair. Non-identity strings keep this order in the plan;
+        all-I strings are folded into `offset`.
         """
         labels, n_terms = self.labels, self.term_count
         strings = []
@@ -241,7 +271,25 @@ class CostEvaluator:
                         phase1, mid = pauli.pauli_product(labels[l], term.label)
                         phase2, full = pauli.pauli_product(mid, labels[lp])
                         strings.append(((1 + q, l, lp), term.coefficient * phase1 * phase2, full))
-        return strings
+        offset = np.zeros((1 + self.num_qubits, n_terms, n_terms), dtype=complex)
+        slots, weights, which, bases = [], [], [], {}
+        for slot, weight, label in strings:
+            if set(label) == {"I"}:
+                offset[slot] += weight
+                continue
+            slots.append(np.ravel_multi_index(slot, offset.shape))
+            weights.append(weight)
+            which.append(bases.setdefault(label, len(bases)))
+        rotations, signs = zip(*(sim.measurement_basis(label) for label in bases))
+        return _ShotPlan(
+            strings=len(strings),
+            offset=offset,
+            slots=np.array(slots, dtype=np.intp),
+            weights=np.array(weights, dtype=complex),
+            which=np.array(which, dtype=np.intp),
+            rotations=np.stack(rotations),
+            signs=np.stack(signs),
+        )
 
     # -- cost ----------------------------------------------------------
 
@@ -264,7 +312,9 @@ class CostEvaluator:
         W = U^dag V, beta = V^dag V and delta_q = W^dag diag(z_q) W. Shot
         mode estimates the l < l' beta and l <= l' delta constituents and
         mirrors the rest by conjugate symmetry; the beta diagonal is 1 by
-        unitarity.
+        unitarity. Every non-identity string of the shot plan gets its own
+        `shots` outcome counts, drawn in one multinomial call from the
+        distribution of its label's measurement basis.
         """
         n_terms = len(self.labels)
         nq = self.num_qubits
@@ -274,11 +324,16 @@ class CostEvaluator:
             beta = v.conj().T @ v
             delta = (w.conj().T * self._z[:, None, :]) @ w
         else:
+            _check_shots(shots)
             if rng is None:
                 rng = np.random.default_rng()
-            terms = np.zeros((1 + nq, n_terms, n_terms), dtype=complex)
-            for slot, weight, label in self._sampled_strings:
-                terms[slot] += weight * sim.sample_expectation(state, label, shots, rng)
+            plan = self._shot_plan
+            probs = np.abs(plan.rotations @ state.amplitudes) ** 2
+            probs /= probs.sum(axis=1, keepdims=True)
+            counts = rng.multinomial(shots, probs[plan.which])
+            estimates = (counts * plan.signs[plan.which]).sum(axis=1) / shots
+            terms = plan.offset.copy()
+            np.add.at(terms.reshape(-1), plan.slots, plan.weights * estimates)
             terms += np.triu(terms, 1).conj().swapaxes(1, 2)
             terms[0] += np.eye(n_terms)
             beta, delta = terms[0], terms[1:]
@@ -445,10 +500,16 @@ def solve(
     starting vector in [0, 2 pi)^P. A run that hits the iteration cap is
     returned with converged=False rather than raised.
 
+    The starting vector and the SPSA perturbations come from
+    `default_rng(seed)`; shot noise comes from a stream spawned from
+    `SeedSequence(seed)`, so the sampler never shifts the perturbations.
+
     Unless a config is given, stopping uses the absolute-threshold rule
     (cost below tolerance for `patience` successive iterations); see
     `spsa.SpsaConfig.stop_rule`.
     """
+    if shots is not None:
+        _check_shots(shots)
     if ansatz is None:
         ansatz = AnsatzConfig()
     if spsa_cfg is None:
@@ -469,11 +530,11 @@ def solve(
         def cost_fn(theta):
             return evaluator.dense_cost(ansatz_amplitudes(ansatz, theta))
     else:
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
+        shot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
         def cost_fn(theta):
-            return evaluator.local_cost(theta, shots=shots, rng=rng).value
+            state = sim.StateVector.from_amplitudes(ansatz_amplitudes(ansatz, theta))
+            return evaluator.local_cost_of_state(state, shots, shot_rng).value
 
     solution_trace: list[np.ndarray] = []
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the 8192-shot ensemble behind criterion 7 takes a little over two
-minutes, everything else a few seconds.
+lines; the whole module, the 8192-shot ensemble behind criterion 7
+included, takes a few seconds.
 """
 
 import numpy as np

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from advqls.sim import (
     StateVector,
     apply,
     expectation,
+    measurement_basis,
     prepare_b,
     prepare_b_circuit,
     sample_expectation,
@@ -161,6 +164,22 @@ class TestSampleExpectation:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample_expectation(StateVector.zero(1), "Z", 0, seed=0)
+
+
+class TestMeasurementBasis:
+    def test_parity_mean_is_expectation(self):
+        rng = np.random.default_rng(47)
+        state = random_circuit(3, 25, rng).run()
+        for chars in product("IXYZ", repeat=3):
+            label = "".join(chars)
+            rotation, signs = measurement_basis(label)
+            assert np.abs(rotation.conj().T @ rotation - np.eye(8)).max() <= 1e-12
+            probs = np.abs(rotation @ state.amplitudes) ** 2
+            assert float(probs @ signs) == pytest.approx(expectation(state, label), abs=1e-12)
+
+    def test_invalid_label(self):
+        with pytest.raises(ValueError):
+            measurement_basis("XQ")
 
 
 class TestPrepareB:

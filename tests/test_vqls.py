@@ -137,26 +137,83 @@ class TestDeltaTerm:
             assert delta[q, lp, l] == pytest.approx(np.conj(delta[q, l, lp]), abs=1e-12)
 
 
+def _spec_evaluator(n, n_t):
+    system = problem.build_block_system(problem.ProblemSpec(n=n, n_t=n_t))
+    cfg = AnsatzConfig(num_qubits=system.b_state.size.bit_length() - 1, units=4)
+    return CostEvaluator(pauli.decompose(system.a_reduced), cfg, vqls._b_preparation(system)), cfg
+
+
+class ExpectedCounts:
+    """Generator stand-in whose multinomial returns the expected counts."""
+
+    def multinomial(self, n, pvals):
+        return n * np.asarray(pvals)
+
+
+class RecordingGenerator:
+    """A real Generator that keeps every multinomial draw it makes."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def multinomial(self, n, pvals):
+        counts = self.rng.multinomial(n, pvals)
+        self.draws.append(counts)
+        return counts
+
+
 class TestSampledStrings:
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (8, 2)])
-    def test_exact_sampler_gives_exact_constituents(self, monkeypatch, n, n_t):
-        # With the sampler replaced by the exact expectation, the shot path's
-        # phase algebra and U Z_q U^dag expansion must rebuild the dense
-        # constituents.
-        system = problem.build_block_system(problem.ProblemSpec(n=n, n_t=n_t))
-        cfg = AnsatzConfig(num_qubits=system.b_state.size.bit_length() - 1, units=4)
-        ev = CostEvaluator(pauli.decompose(system.a_reduced), cfg, vqls._b_preparation(system))
-        monkeypatch.setattr(
-            sim, "sample_expectation", lambda state, label, shots, rng: sim.expectation(state, label)
-        )
+    def test_exact_sampler_gives_exact_constituents(self, n, n_t):
+        # With expected counts in place of draws, the shot path's phase
+        # algebra, U Z_q U^dag expansion and basis rotations must rebuild
+        # the dense constituents.
+        ev, cfg = _spec_evaluator(n, n_t)
         rng = np.random.default_rng(n + 10 * n_t)
         for _ in range(5):
             theta = rng.uniform(0, 2 * np.pi, cfg.n_params)
             exact = ev.local_cost(theta)
-            sampled = ev.local_cost(theta, shots=1)
+            sampled = ev.local_cost(theta, shots=1, rng=ExpectedCounts())
             assert np.abs(sampled.beta - exact.beta).max() <= 1e-12
             assert np.abs(sampled.delta - exact.delta).max() <= 1e-12
             assert abs(sampled.value - exact.value) <= 1e-12
+
+    def test_measurement_plan_of_default_spec(self, evaluator):
+        plan = evaluator._shot_plan
+        assert plan.strings == 161
+        assert plan.slots.size == plan.weights.size == plan.which.size == 154
+        assert plan.strings - plan.slots.size == 7  # all-I strings, never drawn
+        assert plan.rotations.shape == (31, 8, 8)
+        assert plan.signs.shape == (31, 8)
+        rng = RecordingGenerator(3)
+        evaluator.local_cost(np.random.default_rng(4).uniform(0, 2 * np.pi, 12), 8192, rng)
+        assert len(rng.draws) == 1
+        counts = rng.draws[0]
+        assert counts.shape == (154, 8)
+        assert (counts.sum(axis=1) == 8192).all()
+        assert counts.sum() == 154 * 8192
+
+    @pytest.mark.parametrize(
+        "n, n_t, seed", [(4, 3, 51), (4, 3, 52), (4, 3, 53), (4, 5, 54)]
+    )
+    def test_shot_estimate_is_unbiased(self, n, n_t, seed):
+        ev, cfg = _spec_evaluator(n, n_t)
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0, 2 * np.pi, cfg.n_params)
+        exact = ev.local_cost(theta).value
+        values = np.array([ev.local_cost(theta, 8192, rng).value for _ in range(400)])
+        standard_error = values.std(ddof=1) / np.sqrt(values.size)
+        assert abs(values.mean() - exact) <= 4.0 * standard_error
+
+    @pytest.mark.parametrize("shots", [0, -1, 2.5, True])
+    def test_invalid_shots_rejected_before_drawing(self, evaluator, shots):
+        rng = RecordingGenerator(0)
+        with pytest.raises(ValueError, match="shots"):
+            evaluator.local_cost(np.zeros(12), shots, rng)
+        assert rng.draws == []
+        with pytest.raises(ValueError, match="shots"):
+            solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=1, stop_rule="none"), shots=shots)
 
 
 class TestLocalCost:
@@ -362,16 +419,39 @@ class TestSolve:
             assert np.median(trace[40:]) <= 0.12   # flat-ish tail
             assert trace[-1] <= 0.1
 
+    def test_shot_noise_does_not_shift_spsa_stream(self, monkeypatch):
+        # theta_init and the SPSA perturbations share one stream, shot noise
+        # has its own, so the stream SPSA sees is the same with or without shots
+        step = spsa.step
+
+        def run(shots):
+            states = []
+
+            def recording(theta, cost_fn, k, cfg, rng):
+                states.append(json.dumps(rng.bit_generator.state, sort_keys=True))
+                return step(theta, cost_fn, k, cfg, rng)
+
+            monkeypatch.setattr(spsa, "step", recording)
+            solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=5, stop_rule="none"), shots=shots, seed=4)
+            return states
+
+        exact = run(None)
+        assert len(exact) == 5
+        assert run(8192) == exact
+
     def test_run_ensemble_parallel_matches_serial(self):
         cfg = spsa.SpsaConfig(max_iter=3, stop_rule="none")
 
-        def record_bytes(workers):
-            records = run_ensemble(SPEC, spsa_cfg=cfg, base_seed=0, ensemble_size=2, workers=workers)
+        def record_bytes(workers, shots):
+            records = run_ensemble(
+                SPEC, spsa_cfg=cfg, shots=shots, base_seed=0, ensemble_size=2, workers=workers
+            )
             return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
 
-        serial = record_bytes(1)
-        assert record_bytes(1) == serial
-        assert record_bytes(2) == serial
+        for shots in (None, 8192):
+            serial = record_bytes(1, shots)
+            assert record_bytes(1, shots) == serial
+            assert record_bytes(2, shots) == serial
 
 
 class TestBPreparation:
