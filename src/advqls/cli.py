@@ -56,6 +56,11 @@ class RunConfig:
         unknown = set(self.spsa_overrides) - known
         if unknown:
             raise ValueError(f"unknown spsa_overrides keys: {sorted(unknown)}")
+        if "seed" in self.spsa_overrides:
+            raise ValueError(
+                "spsa_overrides.seed has no effect: member i runs with seed "
+                "base_seed + i, so set base_seed instead"
+            )
         self.spsa_config()  # the override values pass SpsaConfig's own checks
 
     @classmethod
@@ -91,17 +96,10 @@ class RunConfig:
         }
 
     def ansatz(self) -> vqls.AnsatzConfig:
-        dim = (self.problem.n_t - 1) * self.problem.n
-        num_qubits = dim.bit_length() - 1
-        if 2**num_qubits != dim:
-            raise ValueError(
-                f"reduced dimension {dim} is not a power of two; "
-                "no qubit register maps onto it"
-            )
-        return vqls.AnsatzConfig(num_qubits=num_qubits, units=self.ansatz_units)
+        return vqls.ansatz_for(self.problem, self.ansatz_units)
 
     def spsa_config(self) -> spsa.SpsaConfig:
-        return spsa.SpsaConfig(stop_rule="threshold").with_overrides(**self.spsa_overrides)
+        return vqls.DEFAULT_SPSA.with_overrides(**self.spsa_overrides)
 
 
 def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:

@@ -4,11 +4,17 @@ Conventions used across the package:
 
 * Qubit 0 is the most significant bit of the amplitude index, so for a
   3-qubit register the amplitude at index 0b100 has qubit 0 in |1> and
-  the rest in |0>. Reshaping the amplitude vector to ``[2] * Q`` puts
-  qubit q on axis q.
+  the rest in |0>. Viewing the amplitudes as (2**q, 2, -1) puts qubit q
+  on the middle axis.
 * Ry(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]; every gate in
   the supported set {H, Ry, CZ, CRy} is therefore real, and a circuit
   built from them keeps real amplitudes real.
+
+Every gate runs on one primitive: `m @ amps.reshape(2**q, 2, -1)` applies
+a 2x2 operator m to qubit q of a state, or of every column of a matrix;
+CZ and CRy select on the control bit with `np.where`. `measurement_basis`
+is the one measurement model, whose distribution both
+`sample_expectation` and `vqls` shot mode draw multinomial counts from.
 
 A StateVector is mutated in place by `apply`; share states across
 threads only for reading.
@@ -37,11 +43,28 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
 # Maps the Y eigenbasis onto the Z basis: (H S†) Y (H S†)† = Z.
 _Y_TO_Z = np.array([[1, -1j], [1, 1j]], dtype=complex) * _INV_SQRT2
+_PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def _ry(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _on_qubit(m: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
+    """m applied to qubit q of a state, or of every column of a matrix."""
+    return (m @ amps.reshape(2**q, 2, -1)).reshape(amps.shape)
+
+
+def _is_one(amps: np.ndarray, q: int) -> np.ndarray:
+    """Rows of `amps` whose index has qubit q in |1>, shaped to broadcast."""
+    dim = amps.shape[0]
+    bit = (np.arange(dim) >> (dim.bit_length() - 2 - q)) & 1  # shift = Q - 1 - q
+    return bit.astype(bool).reshape((dim,) + (1,) * (amps.ndim - 1))
 
 
 @dataclass
@@ -78,10 +101,6 @@ class Gate:
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
-
-
-_SINGLE = {"h", "ry"}
-_CONTROLLED = {"cz", "cry"}
 
 
 @dataclass
@@ -127,75 +146,35 @@ class Circuit:
 
     def unitary(self) -> np.ndarray:
         """Dense matrix of the whole circuit (column k = circuit on |k>)."""
-        dim = 2**self.num_qubits
-        u = np.eye(dim, dtype=complex)
-        for k in range(dim):
-            sv = StateVector(self.num_qubits, u[:, k].copy())
-            for gate in self.gates:
-                apply(sv, gate)
-            u[:, k] = sv.amplitudes
+        u = np.eye(2**self.num_qubits, dtype=complex)
+        for gate in self.gates:
+            u = _apply_gate(u, gate)
         return u
 
 
-def _matrix_1q(gate: Gate) -> np.ndarray:
-    return _H if gate.name == "h" else _ry(gate.angle)
-
-
-def _apply_1q_matrix(amps: np.ndarray, m: np.ndarray, q: int, num_qubits: int) -> np.ndarray:
-    t = amps.reshape([2] * num_qubits)
-    t = np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
-    return np.ascontiguousarray(t).reshape(-1)
+def _apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """One gate on a state, or on every column of a matrix."""
+    num_qubits = amps.shape[0].bit_length() - 1
+    for q in gate.qubits:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
+    if gate.name == "h":
+        return _on_qubit(_H, amps, gate.qubits[0])
+    if gate.name == "ry":
+        return _on_qubit(_ry(gate.angle), amps, gate.qubits[0])
+    if gate.name == "cz":
+        control, target = gate.qubits
+        return np.where(_is_one(amps, control) & _is_one(amps, target), -amps, amps)
+    if gate.name == "cry":
+        control, target = gate.qubits
+        return np.where(_is_one(amps, control), _on_qubit(_ry(gate.angle), amps, target), amps)
+    raise ValueError(f"unknown gate {gate.name!r}")
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, mutating the state in place."""
-    nq = state.num_qubits
-    for q in gate.qubits:
-        if not 0 <= q < nq:
-            raise ValueError(f"qubit index {q} out of range for {nq} qubits")
-    if gate.name in _SINGLE:
-        state.amplitudes = _apply_1q_matrix(state.amplitudes, _matrix_1q(gate), gate.qubits[0], nq)
-        return state
-    if gate.name not in _CONTROLLED:
-        raise ValueError(f"unknown gate {gate.name!r}")
-    control, target = gate.qubits
-    t = state.amplitudes.reshape([2] * nq)
-    sel: list = [slice(None)] * nq
-    sel[control] = 1
-    sub = t[tuple(sel)]  # view of the control=1 slab
-    if gate.name == "cz":
-        sel2 = list(sel)
-        sel2[target] = 1
-        t[tuple(sel2)] = -t[tuple(sel2)]
-    else:
-        # Axis of the target inside the slab shifts down once the control
-        # axis has been indexed away.
-        sub_axis = target - (1 if control < target else 0)
-        rotated = np.moveaxis(
-            np.tensordot(_ry(gate.angle), sub, axes=([1], [sub_axis])), 0, sub_axis
-        )
-        t[tuple(sel)] = rotated
-    state.amplitudes = np.ascontiguousarray(t).reshape(-1)
+    state.amplitudes = _apply_gate(state.amplitudes, gate)
     return state
-
-
-def _apply_pauli_char(amps: np.ndarray, ch: str, q: int, num_qubits: int) -> np.ndarray:
-    t = amps.reshape([2] * num_qubits)
-    if ch == "X":
-        t = np.flip(t, axis=q)
-    elif ch == "Y":
-        t = np.flip(t, axis=q).copy()
-        sel: list = [slice(None)] * num_qubits
-        sel[q] = 0
-        t[tuple(sel)] *= -1j
-        sel[q] = 1
-        t[tuple(sel)] *= 1j
-    elif ch == "Z":
-        t = t.copy()
-        sel = [slice(None)] * num_qubits
-        sel[q] = 1
-        t[tuple(sel)] *= -1
-    return np.ascontiguousarray(t).reshape(-1)
 
 
 def _validate_label(state: StateVector, label: str) -> None:
@@ -213,7 +192,7 @@ def expectation(state: StateVector, label: str) -> float:
     transformed = state.amplitudes
     for q, ch in enumerate(label):
         if ch != "I":
-            transformed = _apply_pauli_char(transformed, ch, q, state.num_qubits)
+            transformed = _on_qubit(_PAULI[ch], transformed, q)
     return float(np.real(np.vdot(state.amplitudes, transformed)))
 
 
@@ -232,8 +211,8 @@ def measurement_basis(label: str) -> tuple[np.ndarray, np.ndarray]:
     parity of each outcome over the label's non-identity qubits.
 
     The rotation is the kron over qubits of I (for I and Z), H (for X)
-    and H S-dagger (for Y), so |rotation @ psi|^2 is the distribution
-    that `sample_expectation` samples from.
+    and H S-dagger (for Y), so |rotation @ psi|^2 is the outcome
+    distribution of measuring the label on psi.
     """
     rotation = np.ones((1, 1), dtype=complex)
     for ch in label:
@@ -251,30 +230,20 @@ def sample_expectation(
 ) -> float:
     """Shot-sampled <psi|P|psi>, one string at a time.
 
-    This is the per-string reference sampler; `vqls` shot mode draws the
-    counts of all its strings at once from `measurement_basis`
-    distributions. Each non-identity qubit of the label is rotated into
-    the Z basis (H for X, H S-dagger for Y), bitstrings are drawn by
-    inverse-CDF sampling of the resulting probabilities, and the
-    estimate is the mean +/-1 parity over the label's non-identity
-    qubits.
+    This is the per-string reference sampler for the model `vqls` shot
+    mode uses for all its strings at once: the outcome counts of `shots`
+    measurements are one multinomial draw from the `measurement_basis`
+    distribution, and the estimate is their mean +/-1 parity.
     """
     _validate_label(state, label)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if all(ch == "I" for ch in label):
         return 1.0
-    rng = np.random.default_rng(seed)
-    amps = state.amplitudes
-    for q, ch in enumerate(label):
-        if ch == "X":
-            amps = _apply_1q_matrix(amps, _H, q, state.num_qubits)
-        elif ch == "Y":
-            amps = _apply_1q_matrix(amps, _Y_TO_Z, q, state.num_qubits)
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum()
-    outcomes = np.searchsorted(np.cumsum(probs), rng.random(shots))
-    return float(_parity_signs(label)[outcomes].mean())
+    rotation, signs = measurement_basis(label)
+    probs = np.abs(rotation @ state.amplitudes) ** 2
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return float((counts * signs).sum() / shots)
 
 
 def prepare_b_circuit(phi_deg: float, num_qubits: int = 3) -> Circuit:

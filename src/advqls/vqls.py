@@ -52,12 +52,14 @@ from . import pauli, problem, sim, spsa
 
 __all__ = [
     "AnsatzConfig",
+    "DEFAULT_SPSA",
     "CostBreakdown",
     "CostEvaluator",
     "DegenerateStateError",
     "SolveRecord",
     "ansatz_amplitudes",
     "ansatz_circuit",
+    "ansatz_for",
     "ansatz_state",
     "circuit_count",
     "MAX_SUBMITTABLE_CIRCUITS",
@@ -73,6 +75,10 @@ __all__ = [
 MAX_SUBMITTABLE_CIRCUITS = 900
 
 _COUNT_MODES = ("baseline", "beta_sym", "full_sym")
+
+# SPSA settings of `solve` when none are given: the absolute-threshold
+# stopping rule (see `spsa.SpsaConfig.stop_rule`) over the standard gains.
+DEFAULT_SPSA = spsa.SpsaConfig(stop_rule="threshold")
 
 
 class DegenerateStateError(RuntimeError):
@@ -93,6 +99,19 @@ class AnsatzConfig:
     @property
     def n_params(self) -> int:
         return self.num_qubits * self.units
+
+
+def ansatz_for(spec: problem.ProblemSpec, units: int = AnsatzConfig.units) -> AnsatzConfig:
+    """The ansatz on the register of `spec`'s reduced system, (n_t - 1) * n
+    amplitudes, which must be a power of two."""
+    dim = (spec.n_t - 1) * spec.n
+    num_qubits = dim.bit_length() - 1
+    if 2**num_qubits != dim:
+        raise ValueError(
+            f"reduced dimension {dim} is not a power of two; "
+            "no qubit register maps onto it"
+        )
+    return AnsatzConfig(num_qubits=num_qubits, units=units)
 
 
 def _angles(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
@@ -504,16 +523,15 @@ def solve(
     `default_rng(seed)`; shot noise comes from a stream spawned from
     `SeedSequence(seed)`, so the sampler never shifts the perturbations.
 
-    Unless a config is given, stopping uses the absolute-threshold rule
-    (cost below tolerance for `patience` successive iterations); see
-    `spsa.SpsaConfig.stop_rule`.
+    Without an ansatz the register comes from the spec (`ansatz_for`);
+    without a config, SPSA runs with `DEFAULT_SPSA`.
     """
     if shots is not None:
         _check_shots(shots)
     if ansatz is None:
-        ansatz = AnsatzConfig()
+        ansatz = ansatz_for(spec)
     if spsa_cfg is None:
-        spsa_cfg = spsa.SpsaConfig(stop_rule="threshold")
+        spsa_cfg = DEFAULT_SPSA
     system = problem.build_block_system(spec)
     dim = system.a_reduced.shape[0]
     if 2**ansatz.num_qubits != dim:
@@ -588,6 +606,8 @@ def run_ensemble(
     """Independent seeded runs; member i uses seed base_seed + i."""
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
+    if ansatz is None:
+        ansatz = ansatz_for(spec)
     jobs = [(spec, ansatz, spsa_cfg, shots, base_seed + i) for i in range(ensemble_size)]
     if workers <= 1:
         return [solve(*job) for job in jobs]

@@ -300,6 +300,7 @@ class TestErrorContract:
             ({"spsa_overrides": {"max_iter": 5, "bogus": 1}}, [], "bogus"),
             ({"problem": {"n": 3}}, [], "power of two"),
             ({}, ["--shots", "many"], "--shots"),
+            ({"spsa_overrides": {"seed": 5}}, [], "base_seed"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):

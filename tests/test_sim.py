@@ -23,8 +23,9 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 def random_circuit(num_qubits: int, n_gates: int, rng: np.random.Generator) -> Circuit:
     circuit = Circuit(num_qubits)
+    kinds = ["h", "ry", "cz", "cry"] if num_qubits > 1 else ["h", "ry"]
     for _ in range(n_gates):
-        kind = rng.choice(["h", "ry", "cz", "cry"])
+        kind = rng.choice(kinds)
         q = int(rng.integers(num_qubits))
         if kind == "h":
             circuit.h(q)
@@ -38,6 +39,30 @@ def random_circuit(num_qubits: int, n_gates: int, rng: np.random.Generator) -> C
             else:
                 circuit.cry(rng.uniform(0, 2 * np.pi), q, t)
     return circuit
+
+
+def ry_matrix(angle: float) -> np.ndarray:
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+def dense_gate(gate: Gate, num_qubits: int) -> np.ndarray:
+    """The gate's full matrix, built with np.kron; a controlled gate is
+    P0 (x) I + P1 (x) U on its control and target."""
+
+    def embed(factors: dict) -> np.ndarray:
+        m = np.ones((1, 1))
+        for q in range(num_qubits):
+            m = np.kron(m, factors.get(q, np.eye(2)))
+        return m
+
+    if gate.name == "h":
+        return embed({gate.qubits[0]: np.array([[1, 1], [1, -1]]) * INV_SQRT2})
+    if gate.name == "ry":
+        return embed({gate.qubits[0]: ry_matrix(gate.angle)})
+    control, target = gate.qubits
+    u = np.diag([1.0, -1.0]) if gate.name == "cz" else ry_matrix(gate.angle)
+    return embed({control: np.diag([1.0, 0.0])}) + embed({control: np.diag([0.0, 1.0]), target: u})
 
 
 class TestApply:
@@ -83,6 +108,21 @@ class TestApply:
         u = circuit.unitary()
         assert np.abs(u.conj().T @ u - np.eye(8)).max() <= 1e-12
         assert_allclose(u[:, 0], circuit.run().amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+    def test_engine_matches_kron_product(self, num_qubits):
+        rng = np.random.default_rng(50 + num_qubits)
+        for _ in range(5):
+            circuit = random_circuit(num_qubits, 25, rng)
+            expected = np.eye(2**num_qubits)
+            for gate in circuit.gates:
+                expected = dense_gate(gate, num_qubits) @ expected
+            assert np.abs(circuit.unitary() - expected).max() <= 1e-12
+            psi = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+            psi /= np.linalg.norm(psi)
+            state = circuit.run(StateVector.from_amplitudes(psi))
+            assert np.abs(state.amplitudes - expected @ psi).max() <= 1e-12
+            assert np.abs(circuit.run().amplitudes - expected[:, 0]).max() <= 1e-12
 
 
 class TestStateVector:

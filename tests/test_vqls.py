@@ -395,6 +395,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="dimension"):
             solve(SPEC, ansatz=AnsatzConfig(num_qubits=2, units=4))
 
+    def test_default_ansatz_follows_spec(self):
+        spec = problem.ProblemSpec(n=4, n_t=5)
+        cfg = spsa.SpsaConfig(max_iter=3, stop_rule="none")
+        derived = solve(spec, spsa_cfg=cfg, seed=1)
+        explicit = solve(spec, ansatz=AnsatzConfig(4, 4), spsa_cfg=cfg, seed=1)
+        assert json.dumps(derived.to_dict(), sort_keys=True) == json.dumps(
+            explicit.to_dict(), sort_keys=True
+        )
+        assert vqls.ansatz_for(spec) == AnsatzConfig(4, 4)
+        member = run_ensemble(spec, spsa_cfg=cfg, base_seed=1, ensemble_size=1)[0]
+        assert member.cost_trace == explicit.cost_trace
+
     def test_record_roundtrip(self):
         rec = solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=4, stop_rule="none"), seed=2)
         back = vqls.SolveRecord.from_dict(rec.to_dict())
