@@ -12,9 +12,10 @@ Conventions used across the package:
 
 Every gate runs on one primitive: `m @ amps.reshape(2**q, 2, -1)` applies
 a 2x2 operator m to qubit q of a state, or of every column of a matrix;
-CZ and CRy select on the control bit with `np.where`. `measurement_basis`
-is the one measurement model, whose distribution both
-`sample_expectation` and `vqls` shot mode draw multinomial counts from.
+CZ and CRy select on the control bit with `np.where`.
+`sample_expectation` measures one Pauli string in the rotated basis of
+`measurement_basis`; `vqls` shot mode does not use either, since it
+samples Hadamard-test ancillas instead.
 
 A StateVector is mutated in place by `apply`; share states across
 threads only for reading.
@@ -228,12 +229,11 @@ def sample_expectation(
     shots: int,
     seed: int | np.random.Generator | None = None,
 ) -> float:
-    """Shot-sampled <psi|P|psi>, one string at a time.
+    """Shot-sampled <psi|P|psi> of one Pauli string.
 
-    This is the per-string reference sampler for the model `vqls` shot
-    mode uses for all its strings at once: the outcome counts of `shots`
-    measurements are one multinomial draw from the `measurement_basis`
-    distribution, and the estimate is their mean +/-1 parity.
+    The outcome counts of `shots` measurements are one multinomial draw
+    from the `measurement_basis` distribution, and the estimate is their
+    mean +/-1 parity.
     """
     _validate_label(state, label)
     if shots < 1:

@@ -18,17 +18,13 @@ constituents a device needs per evaluation (l <= l' only, with the unit
 beta diagonal known for free) is the "full symmetry" circuit-count mode
 reported by `circuit_count`.
 
-The term sum (`CostEvaluator.local_cost`) has one exact and one sampled
-form. Exact, it builds all constituents as dense products of the Pauli
-matrices with the state; it is the independent oracle for the closed
-form below. Sampled, it measures one plan of weighted Pauli strings
-built on first use: beta pairs reduce to a single string by phase
-algebra, and delta triples expand U Z_q U^dag into Pauli strings
-conjugated by the P_l, P_l' pair, so every estimate is a weighted sum of
-sampled Pauli expectations. As on a device, each string is its own
-circuit with its own shots: one evaluation computes the outcome
-distribution once per distinct measurement basis and draws every
-string's outcome counts in one multinomial call.
+The term sum (`CostEvaluator.local_cost`) builds all constituents as
+dense products of the Pauli matrices with the state; exact, it is the
+independent oracle for the closed form below. Sampled, it runs the
+paper's Hadamard tests, one per full_sym circuit: the ancilla reads
+Re(e^{i phi} constituent) with the phase of c_l* c_l' folded into it, so
+each circuit is one binomial draw of `shots` ancilla outcomes, and one
+evaluation draws all of them in one call.
 
 Exact mode (`solve` with shots=None) evaluates the cost in closed form.
 The ansatz is real, so the cost is a ratio of two real quadratic forms,
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,7 +182,6 @@ class CostBreakdown:
     value: float
     beta: np.ndarray    # (L, L), Hermitian, unit diagonal
     delta: np.ndarray   # (Q, L, L), Hermitian in (l, l') per q
-    circuits_evaluated: int
 
 
 def _z_signs(num_qubits: int, q: int) -> np.ndarray:
@@ -197,27 +192,6 @@ def _z_signs(num_qubits: int, q: int) -> np.ndarray:
 def _check_shots(shots) -> None:
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
-
-
-@dataclass(frozen=True)
-class _ShotPlan:
-    """What one shot-mode evaluation measures, built once per evaluator.
-
-    Row i of `slots`, `weights` and `which` is the i-th non-identity
-    string: its flat index into the (1 + Q, L, L) constituent array, its
-    complex weight, and the index of its label in `rotations` and
-    `signs` (one basis rotation and one outcome parity row per distinct
-    label). All-I strings have expectation 1, so their weights are
-    summed into `offset` and draw nothing.
-    """
-
-    strings: int              # all strings, all-I ones included
-    offset: np.ndarray        # (1 + Q, L, L)
-    slots: np.ndarray         # (S,)
-    weights: np.ndarray       # (S,)
-    which: np.ndarray         # (S,)
-    rotations: np.ndarray     # (D, 2^Q, 2^Q)
-    signs: np.ndarray         # (D, 2^Q)
 
 
 class CostEvaluator:
@@ -261,54 +235,17 @@ class CostEvaluator:
         local = u @ np.diag(0.5 - sum(self._z) / (2.0 * nq)) @ u.conj().T
         self._h = np.real(a.conj().T @ local @ a)
         self._g = np.real(a.conj().T @ a)
+        # Shot mode: one Hadamard test per full_sym circuit, named by its
+        # flat index into the (1 + Q, L, L) constituents (beta for l < l',
+        # delta_q for l <= l'), with the phase of c_l* c_l' on its ancilla.
+        ones = np.ones((self.term_count, self.term_count), dtype=bool)
+        self._circuits = np.flatnonzero(np.stack([np.triu(ones, 1)] + [np.triu(ones)] * nq))
+        phase = np.exp(1j * np.angle(np.outer(self.coefficients.conj(), self.coefficients)))
+        self._phases = np.broadcast_to(phase, (1 + nq, *ones.shape)).take(self._circuits)
 
     @property
     def term_count(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def _shot_plan(self) -> _ShotPlan:
-        """The Pauli strings shot mode measures, as arrays.
-
-        Slot (0, l, l') is beta_ll' for l < l', reduced to one string by
-        phase algebra; slot (1 + q, l, l') is delta_ll'^q for l <= l', with
-        U Z_q U^dag expanded into Pauli strings and each conjugated by the
-        P_l, P_l' pair. Non-identity strings keep this order in the plan;
-        all-I strings are folded into `offset`.
-        """
-        labels, n_terms = self.labels, self.term_count
-        strings = []
-        for l in range(n_terms):
-            for lp in range(l + 1, n_terms):
-                phase, label = pauli.pauli_product(labels[l], labels[lp])
-                strings.append(((0, l, lp), phase, label))
-        for q in range(self.num_qubits):
-            observable = pauli.decompose(self.u @ np.diag(self._z[q]) @ self.u.conj().T)
-            for l in range(n_terms):
-                for lp in range(l, n_terms):
-                    for term in observable.terms:
-                        phase1, mid = pauli.pauli_product(labels[l], term.label)
-                        phase2, full = pauli.pauli_product(mid, labels[lp])
-                        strings.append(((1 + q, l, lp), term.coefficient * phase1 * phase2, full))
-        offset = np.zeros((1 + self.num_qubits, n_terms, n_terms), dtype=complex)
-        slots, weights, which, bases = [], [], [], {}
-        for slot, weight, label in strings:
-            if set(label) == {"I"}:
-                offset[slot] += weight
-                continue
-            slots.append(np.ravel_multi_index(slot, offset.shape))
-            weights.append(weight)
-            which.append(bases.setdefault(label, len(bases)))
-        rotations, signs = zip(*(sim.measurement_basis(label) for label in bases))
-        return _ShotPlan(
-            strings=len(strings),
-            offset=offset,
-            slots=np.array(slots, dtype=np.intp),
-            weights=np.array(weights, dtype=complex),
-            which=np.array(which, dtype=np.intp),
-            rotations=np.stack(rotations),
-            signs=np.stack(signs),
-        )
 
     # -- cost ----------------------------------------------------------
 
@@ -324,35 +261,40 @@ class CostEvaluator:
     def local_cost(self, theta: np.ndarray, shots=None, rng=None) -> CostBreakdown:
         return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
 
-    def local_cost_of_state(self, state: sim.StateVector, shots=None, rng=None) -> CostBreakdown:
+    def local_cost_of_state(self, state, shots=None, rng=None) -> CostBreakdown:
         """Assemble the cost from its constituents (exact or shot-sampled).
 
-        Exact constituents are dense products: with V = [P_l x]_l and
-        W = U^dag V, beta = V^dag V and delta_q = W^dag diag(z_q) W. Shot
-        mode estimates the l < l' beta and l <= l' delta constituents and
-        mirrors the rest by conjugate symmetry; the beta diagonal is 1 by
-        unitarity. Every non-identity string of the shot plan gets its own
-        `shots` outcome counts, drawn in one multinomial call from the
-        distribution of its label's measurement basis.
+        `state` is a StateVector or its amplitude array. The exact
+        constituents are dense products: with V = [P_l x]_l and
+        W = U^dag V, beta = V^dag V and delta_q = W^dag diag(z_q) W.
+
+        Shot mode runs the full_sym circuits: one Hadamard test for each
+        beta_ll' with l < l' and each delta_ll'^q with l <= l', in that
+        order. With the phase e^{i phi} = c_l* c_l' / |c_l c_l'| on its
+        ancilla, a circuit measures r = Re(e^{i phi} constituent), which
+        is all the cost reads of the pair. Every circuit gets `shots`
+        ancilla outcomes, k ~ Binomial(shots, (1 + r) / 2), all drawn in
+        one call; the estimate e^{-i phi} (2k / shots - 1) fills the
+        constituent, mirrored by conjugate symmetry, with the beta
+        diagonal 1 by unitarity.
         """
         n_terms = len(self.labels)
         nq = self.num_qubits
-        if shots is None:
-            v = (self._paulis @ state.amplitudes).T
-            w = self.u.conj().T @ v
-            beta = v.conj().T @ v
-            delta = (w.conj().T * self._z[:, None, :]) @ w
-        else:
+        amplitudes = state.amplitudes if isinstance(state, sim.StateVector) else state
+        v = (self._paulis @ amplitudes).T
+        w = self.u.conj().T @ v
+        beta = v.conj().T @ v
+        delta = (w.conj().T * self._z[:, None, :]) @ w
+        if shots is not None:
             _check_shots(shots)
             if rng is None:
                 rng = np.random.default_rng()
-            plan = self._shot_plan
-            probs = np.abs(plan.rotations @ state.amplitudes) ** 2
-            probs /= probs.sum(axis=1, keepdims=True)
-            counts = rng.multinomial(shots, probs[plan.which])
-            estimates = (counts * plan.signs[plan.which]).sum(axis=1) / shots
-            terms = plan.offset.copy()
-            np.add.at(terms.reshape(-1), plan.slots, plan.weights * estimates)
+            exact = np.concatenate((beta[None], delta)).take(self._circuits)
+            # rounding can put r a few ulps outside [-1, 1] near the solution
+            p = np.clip((1.0 + np.real(self._phases * exact)) / 2.0, 0.0, 1.0)
+            counts = rng.binomial(shots, p)
+            terms = np.zeros((1 + nq, n_terms, n_terms), dtype=complex)
+            np.put(terms, self._circuits, self._phases.conj() * (2.0 * counts / shots - 1.0))
             terms += np.triu(terms, 1).conj().swapaxes(1, 2)
             terms[0] += np.eye(n_terms)
             beta, delta = terms[0], terms[1:]
@@ -364,12 +306,7 @@ class CostEvaluator:
             )
         numerator = sum(float(np.real(c.conj() @ delta[q] @ c)) for q in range(nq))
         value = 0.5 - numerator / (2.0 * nq * denominator)
-        return CostBreakdown(
-            value=value,
-            beta=beta,
-            delta=delta,
-            circuits_evaluated=circuit_count(nq, n_terms, "full_sym"),
-        )
+        return CostBreakdown(value=value, beta=beta, delta=delta)
 
 
 def circuit_count(num_qubits: int, n_terms: int, mode: str = "baseline") -> int:
@@ -516,8 +453,10 @@ def solve(
 
     Builds the block system, expands the reduced operator into Pauli
     strings, and drives the local cost with SPSA from a uniformly random
-    starting vector in [0, 2 pi)^P. A run that hits the iteration cap is
-    returned with converged=False rather than raised.
+    starting vector in [0, 2 pi)^P: the closed form when shots is None,
+    else the sampled term sum on the ansatz amplitudes, one binomial draw
+    per full_sym circuit. A run that hits the iteration cap is returned
+    with converged=False rather than raised.
 
     The starting vector and the SPSA perturbations come from
     `default_rng(seed)`; shot noise comes from a stream spawned from
@@ -551,8 +490,8 @@ def solve(
         shot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
         def cost_fn(theta):
-            state = sim.StateVector.from_amplitudes(ansatz_amplitudes(ansatz, theta))
-            return evaluator.local_cost_of_state(state, shots, shot_rng).value
+            x = ansatz_amplitudes(ansatz, theta)
+            return evaluator.local_cost_of_state(x, shots, shot_rng).value
 
     solution_trace: list[np.ndarray] = []
 

@@ -77,6 +77,22 @@ class TestSolveCommand:
             assert (out1 / name).exists(), name
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_shot_run_on_large_spec_repeats(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            problem={"n": 16, "n_t": 3},
+            spsa_overrides={"max_iter": 5, "stop_rule": "none"},
+        )
+        outs = [tmp_path / "run1", tmp_path / "run2"]
+        for out in outs:
+            assert main(["solve", "--config", config, "--out", str(out), "--shots", "8192"]) == 0
+        for name in ("member_000.json", "member_001.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        member = json.loads((outs[0] / "member_000.json").read_text())
+        assert member["shots"] == 8192
+        assert member["iterations"] == 5
+        assert member["circuits_per_evaluation"] == 1925
+
     def test_manifest_echoes_config(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"

@@ -1,4 +1,4 @@
-"""Properties of the exact pipeline over the valid problem specs.
+"""Properties of the exact and shot pipelines over the valid problem specs.
 
 Each case draws one of the specs (n, n_t) whose reduced dimension
 (n_t - 1) * n is a power of two, with nu in [0, 0.2] and dt inside the
@@ -24,6 +24,13 @@ def specs(draw) -> problem.ProblemSpec:
     spec = problem.ProblemSpec(n=n, nu=nu, dt=dt, n_t=n_t)
     assert spec.nu * spec.dt / spec.dx**2 <= 0.5
     return spec
+
+
+class ExpectedCounts:
+    """Generator stand-in whose binomial returns the expected counts."""
+
+    def binomial(self, n, p):
+        return n * np.asarray(p)
 
 
 @settings(max_examples=30, deadline=None)
@@ -54,3 +61,20 @@ def test_exact_pipeline_properties(spec, seed):
     assert abs(term_sum) <= 1e-12
     fields = vqls.rescale_solution(x, system)
     assert np.abs(fields - classical.reshape(spec.n_t - 1, spec.n)).max() <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=specs(), seed=st.integers(0, 2**32 - 1))
+def test_shot_expected_counts_match_dense_cost(spec, seed):
+    # with each circuit's expected count in place of a draw, the shot
+    # estimate is the exact cost
+    system = problem.build_block_system(spec)
+    cfg = vqls.ansatz_for(spec)
+    evaluator = vqls.CostEvaluator(
+        pauli.decompose(system.a_reduced), cfg, vqls._b_preparation(system)
+    )
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = vqls.ansatz_amplitudes(cfg, rng.uniform(0.0, 2.0 * np.pi, cfg.n_params))
+        sampled = evaluator.local_cost_of_state(x, 8192, ExpectedCounts()).value
+        assert abs(sampled - evaluator.dense_cost(x)) <= 1e-12
