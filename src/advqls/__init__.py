@@ -16,7 +16,7 @@ from .problem import (
     rmse,
 )
 from .pauli import PauliDecomposition, PauliTerm, decompose, pauli_product, reconstruct
-from .sim import Circuit, StateVector, expectation, prepare_b, sample_expectation
+from .sim import Circuit, expectation, sample_expectation
 from .spsa import SpsaConfig, SpsaResult
 from .vqls import (
     AnsatzConfig,

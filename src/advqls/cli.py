@@ -28,8 +28,8 @@ from . import pauli, problem, resources, spsa, vqls
 __all__ = ["RunConfig", "main"]
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass
@@ -47,10 +47,14 @@ class RunConfig:
     out_dir: str | None = None          # default when --out is not given
 
     def __post_init__(self):
-        for name, value in (("workers", self.workers), ("ensemble_size", self.ensemble_size)):
-            if not _is_count(value):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.shots is not None and not _is_count(self.shots):
+        lowest = {"workers": 1, "ensemble_size": 1, "ansatz_units": 1, "base_seed": 0}
+        for name, low in lowest.items():
+            value = getattr(self, name)
+            if not _is_int_at_least(value, low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.classical_only, bool):
+            raise ValueError(f"classical_only must be true or false, got {self.classical_only!r}")
+        if self.shots is not None and not _is_int_at_least(self.shots, 1):
             raise ValueError(f"shots must be an integer >= 1, null or 'exact', got {self.shots!r}")
         known = {f.name for f in dataclasses.fields(spsa.SpsaConfig)}
         unknown = set(self.spsa_overrides) - known
@@ -162,9 +166,16 @@ def _member_path(out_dir: Path, member: int) -> Path:
     return out_dir / f"member_{member:03d}.json"
 
 
-def _write_reference_csvs(out_dir: Path, spec: problem.ProblemSpec) -> None:
+def _classical_fields(spec: problem.ProblemSpec) -> tuple[problem.BlockSystem, np.ndarray]:
+    """The block system of `spec` and its classical solution as (n_t - 1, n) fields."""
     system = problem.build_block_system(spec)
-    classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
+    return system, problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
+
+
+def _write_reference_csvs(
+    out_dir: Path, system: problem.BlockSystem, classical: np.ndarray
+) -> None:
+    spec = system.spec
     header = ["x"] + [f"u_t{k}" for k in range(spec.n_t)]
     classical_rows = [
         [x, system.u0[j]] + [classical[k][j] for k in range(spec.n_t - 1)]
@@ -183,10 +194,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _apply_cli_overrides(cfg, args)
     out_dir = _resolve_out(cfg, args)
     ansatz = None if cfg.classical_only else cfg.ansatz()
+    spec = cfg.problem
+    system, classical = _classical_fields(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "solve", cfg.to_dict())
-    spec = cfg.problem
-    _write_reference_csvs(out_dir, spec)
+    _write_reference_csvs(out_dir, system, classical)
     if cfg.classical_only:
         return 0
 
@@ -212,8 +224,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     ]
     _write_csv(out_dir / "ensemble_mean.csv", header, mean_rows)
 
-    system = problem.build_block_system(spec)
-    classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
     summary_rows = []
     for i, record in enumerate(records):
         for entry in record.rmse_per_time:
@@ -251,8 +261,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         record = vqls.SolveRecord.from_dict(json.load(fh))
 
     spec = cfg.problem
-    system = problem.build_block_system(spec)
-    classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
+    _, classical = _classical_fields(spec)
     sol_cols = [f"u_t{k}_g{j + 1}" for k in range(1, spec.n_t) for j in range(spec.n)]
     ref_cols = [f"ref_t{k}_g{j + 1}" for k in range(1, spec.n_t) for j in range(spec.n)]
     header = ["iteration", "cost"] + sol_cols + ref_cols

@@ -13,12 +13,11 @@ Conventions used across the package:
 Every gate runs on one primitive: `m @ amps.reshape(2**q, 2, -1)` applies
 a 2x2 operator m to qubit q of a state, or of every column of a matrix;
 CZ and CRy select on the control bit with `np.where`.
-`sample_expectation` measures one Pauli string in the rotated basis of
-`measurement_basis`; `vqls` shot mode does not use either, since it
-samples Hadamard-test ancillas instead.
-
-A StateVector is mutated in place by `apply`; share states across
-threads only for reading.
+A state is a plain complex amplitude array: `Circuit.run()` returns a
+new one, prepared from |0...0>, and `expectation` and
+`sample_expectation` read one. `sample_expectation` measures one Pauli
+string in the rotated basis of `measurement_basis`; `vqls` shot mode
+does not use either, since it samples Hadamard-test ancillas instead.
 """
 
 from __future__ import annotations
@@ -29,15 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "StateVector",
     "Gate",
     "Circuit",
-    "apply",
     "expectation",
     "sample_expectation",
     "measurement_basis",
     "prepare_b_circuit",
-    "prepare_b",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -66,35 +62,6 @@ def _is_one(amps: np.ndarray, q: int) -> np.ndarray:
     dim = amps.shape[0]
     bit = (np.arange(dim) >> (dim.bit_length() - 2 - q)) & 1  # shift = Q - 1 - q
     return bit.astype(bool).reshape((dim,) + (1,) * (amps.ndim - 1))
-
-
-@dataclass
-class StateVector:
-    """Complex amplitudes of a Q-qubit register (unit Euclidean norm)."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "StateVector":
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes: np.ndarray) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex).ravel()
-        dim = amps.size
-        if dim < 2 or dim & (dim - 1):
-            raise ValueError(f"amplitude count {dim} is not a power of two")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"amplitudes are not unit norm (got {norm})")
-        return cls(dim.bit_length() - 1, amps.copy())
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -138,12 +105,13 @@ class Circuit:
         self.gates.append(Gate("cry", (control, target), float(angle)))
         return self
 
-    def run(self, state: StateVector | None = None) -> StateVector:
-        if state is None:
-            state = StateVector.zero(self.num_qubits)
+    def run(self) -> np.ndarray:
+        """Amplitudes of the circuit applied to |0...0>."""
+        amps = np.zeros(2**self.num_qubits, dtype=complex)
+        amps[0] = 1.0
         for gate in self.gates:
-            apply(state, gate)
-        return state
+            amps = _apply_gate(amps, gate)
+        return amps
 
     def unitary(self) -> np.ndarray:
         """Dense matrix of the whole circuit (column k = circuit on |k>)."""
@@ -172,29 +140,23 @@ def _apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate {gate.name!r}")
 
 
-def apply(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, mutating the state in place."""
-    state.amplitudes = _apply_gate(state.amplitudes, gate)
-    return state
-
-
-def _validate_label(state: StateVector, label: str) -> None:
-    if len(label) != state.num_qubits:
+def _validate_label(amplitudes: np.ndarray, label: str) -> None:
+    if 2 ** len(label) != amplitudes.size:
         raise ValueError(
-            f"label length {len(label)} does not match register size {state.num_qubits}"
+            f"label length {len(label)} does not match {amplitudes.size} amplitudes"
         )
     if any(ch not in "IXYZ" for ch in label):
         raise ValueError(f"invalid Pauli label {label!r}")
 
 
-def expectation(state: StateVector, label: str) -> float:
+def expectation(amplitudes: np.ndarray, label: str) -> float:
     """Exact <psi|P|psi> for a Pauli-string label."""
-    _validate_label(state, label)
-    transformed = state.amplitudes
+    _validate_label(amplitudes, label)
+    transformed = amplitudes
     for q, ch in enumerate(label):
         if ch != "I":
             transformed = _on_qubit(_PAULI[ch], transformed, q)
-    return float(np.real(np.vdot(state.amplitudes, transformed)))
+    return float(np.real(np.vdot(amplitudes, transformed)))
 
 
 def _parity_signs(label: str) -> np.ndarray:
@@ -224,7 +186,7 @@ def measurement_basis(label: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_expectation(
-    state: StateVector,
+    amplitudes: np.ndarray,
     label: str,
     shots: int,
     seed: int | np.random.Generator | None = None,
@@ -235,13 +197,13 @@ def sample_expectation(
     from the `measurement_basis` distribution, and the estimate is their
     mean +/-1 parity.
     """
-    _validate_label(state, label)
+    _validate_label(amplitudes, label)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if all(ch == "I" for ch in label):
         return 1.0
     rotation, signs = measurement_basis(label)
-    probs = np.abs(rotation @ state.amplitudes) ** 2
+    probs = np.abs(rotation @ amplitudes) ** 2
     counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
     return float((counts * signs).sum() / shots)
 
@@ -265,8 +227,3 @@ def prepare_b_circuit(phi_deg: float, num_qubits: int = 3) -> Circuit:
     circuit.ry(-phi, lower)
     circuit.cry(2.0 * phi - math.pi, upper, lower)
     return circuit
-
-
-def prepare_b(phi_deg: float, num_qubits: int = 3) -> StateVector:
-    """Run `prepare_b_circuit` on |0...0>."""
-    return prepare_b_circuit(phi_deg, num_qubits).run()

@@ -44,6 +44,10 @@ class SpsaConfig:
     stop_rule: str = "diff"
 
     def __post_init__(self):
+        for name in ("patience", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.alpha <= 0 or self.gamma <= 0:
             raise ValueError("alpha and gamma must be positive")
         if self.c <= 0:

@@ -133,7 +133,7 @@ def ansatz_circuit(cfg: AnsatzConfig, theta: np.ndarray) -> sim.Circuit:
     return circuit
 
 
-def ansatz_state(cfg: AnsatzConfig, theta: np.ndarray) -> sim.StateVector:
+def ansatz_state(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     return ansatz_circuit(cfg, theta).run()
 
 
@@ -261,12 +261,12 @@ class CostEvaluator:
     def local_cost(self, theta: np.ndarray, shots=None, rng=None) -> CostBreakdown:
         return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
 
-    def local_cost_of_state(self, state, shots=None, rng=None) -> CostBreakdown:
+    def local_cost_of_state(self, amplitudes, shots=None, rng=None) -> CostBreakdown:
         """Assemble the cost from its constituents (exact or shot-sampled).
 
-        `state` is a StateVector or its amplitude array. The exact
-        constituents are dense products: with V = [P_l x]_l and
-        W = U^dag V, beta = V^dag V and delta_q = W^dag diag(z_q) W.
+        The exact constituents are dense products: with x = `amplitudes`,
+        V = [P_l x]_l and W = U^dag V, beta = V^dag V and
+        delta_q = W^dag diag(z_q) W.
 
         Shot mode runs the full_sym circuits: one Hadamard test for each
         beta_ll' with l < l' and each delta_ll'^q with l <= l', in that
@@ -280,7 +280,6 @@ class CostEvaluator:
         """
         n_terms = len(self.labels)
         nq = self.num_qubits
-        amplitudes = state.amplitudes if isinstance(state, sim.StateVector) else state
         v = (self._paulis @ amplitudes).T
         w = self.u.conj().T @ v
         beta = v.conj().T @ v
@@ -430,8 +429,7 @@ def _b_preparation(system: problem.BlockSystem) -> sim.Circuit | np.ndarray:
         try:
             phi = problem.fit_phi_degrees(system.b_state)
             circuit = sim.prepare_b_circuit(phi, nq)
-            produced = circuit.run().amplitudes
-            if np.abs(produced - system.b_state).max() <= 1e-10:
+            if np.abs(circuit.run() - system.b_state).max() <= 1e-10:
                 return circuit
         except ValueError:
             pass

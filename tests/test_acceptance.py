@@ -57,7 +57,7 @@ def test_criterion_1_stencil_matrix():
 
 def test_criterion_2_rhs_state_and_angle():
     system = problem.build_block_system(SPEC)
-    prepared = sim.prepare_b(-160.725).amplitudes.real
+    prepared = sim.prepare_b_circuit(-160.725).run().real
     state_err = np.abs(prepared - system.b_state).max()
     phi = problem.fit_phi_degrees(system.b_state)
     phi_err = abs(phi - (-160.725))
@@ -112,7 +112,7 @@ def test_criterion_4_cost_equivalence():
     worst = 0.0
     for _ in range(100):
         theta = rng.uniform(0, 2 * np.pi, 12)
-        x = vqls.ansatz_state(ANSATZ, theta).amplitudes
+        x = vqls.ansatz_state(ANSATZ, theta)
         psi = a @ x
         dense = float(np.real(x.conj() @ h @ x) / np.real(psi.conj() @ psi))
         worst = max(worst, abs(evaluator.local_cost(theta).value - dense))

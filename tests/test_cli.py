@@ -317,6 +317,11 @@ class TestErrorContract:
             ({"problem": {"n": 3}}, [], "power of two"),
             ({}, ["--shots", "many"], "--shots"),
             ({"spsa_overrides": {"seed": 5}}, [], "base_seed"),
+            ({"base_seed": -1}, [], "base_seed"),
+            ({}, ["--seed", "-1"], "base_seed"),
+            ({"ansatz_units": 2.5}, [], "ansatz_units"),
+            ({"classical_only": "no"}, [], "classical_only"),
+            ({"spsa_overrides": {"max_iter": 2.5}}, [], "max_iter"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):

@@ -9,11 +9,8 @@ from advqls.pauli import label_matrix
 from advqls.sim import (
     Circuit,
     Gate,
-    StateVector,
-    apply,
     expectation,
     measurement_basis,
-    prepare_b,
     prepare_b_circuit,
     sample_expectation,
 )
@@ -66,39 +63,47 @@ def dense_gate(gate: Gate, num_qubits: int) -> np.ndarray:
 
 
 class TestApply:
+    def test_run_returns_new_zero_state(self):
+        empty = Circuit(3)
+        state = empty.run()
+        assert state.dtype == complex
+        assert_allclose(state, np.eye(8)[0])
+        state[0] = 0.0
+        assert empty.run()[0] == 1.0
+
     def test_hadamard_on_zero(self):
         state = Circuit(1).h(0).run()
-        assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-14)
+        assert_allclose(state, [INV_SQRT2, INV_SQRT2], atol=1e-14)
 
     def test_ry_pi_flips(self):
         state = Circuit(1).ry(np.pi, 0).run()
-        assert_allclose(state.amplitudes, [0.0, 1.0], atol=1e-14)
+        assert_allclose(state, [0.0, 1.0], atol=1e-14)
 
     def test_x_flips_most_significant_qubit(self):
         # qubit 0 is the most significant index bit; Ry(pi)|0> = |1>
         state = Circuit(3).ry(np.pi, 0).run()
         expected = np.zeros(8)
         expected[0b100] = 1.0
-        assert_allclose(state.amplitudes, expected, atol=1e-15)
+        assert_allclose(state, expected, atol=1e-15)
 
     def test_cx_and_cz(self):
         # CRy(pi) flips the target of |10> to |11>, as a CX would
         state = Circuit(2).ry(np.pi, 0).cry(np.pi, 0, 1).run()
         expected = np.zeros(4)
         expected[0b11] = 1.0
-        assert_allclose(state.amplitudes, expected, atol=1e-15)
+        assert_allclose(state, expected, atol=1e-15)
         state = Circuit(2).h(0).h(1).cz(0, 1).run()
-        assert_allclose(state.amplitudes, [0.5, 0.5, 0.5, -0.5], atol=1e-14)
+        assert_allclose(state, [0.5, 0.5, 0.5, -0.5], atol=1e-14)
 
     def test_norm_preserved_by_random_circuit(self):
         rng = np.random.default_rng(23)
         state = random_circuit(3, 50, rng).run()
-        assert state.norm == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_out_of_range_qubit(self):
-        state = StateVector.zero(2)
+        # a gate list passed to the constructor bypasses the builder's checks
         with pytest.raises(ValueError, match="out of range"):
-            apply(state, Gate("h", (2,)))
+            Circuit(2, [Gate("h", (2,))]).run()
         with pytest.raises(ValueError):
             Circuit(2).h(5)
 
@@ -107,7 +112,7 @@ class TestApply:
         circuit = random_circuit(3, 20, rng)
         u = circuit.unitary()
         assert np.abs(u.conj().T @ u - np.eye(8)).max() <= 1e-12
-        assert_allclose(u[:, 0], circuit.run().amplitudes, atol=1e-12)
+        assert_allclose(u[:, 0], circuit.run(), atol=1e-12)
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
     def test_engine_matches_kron_product(self, num_qubits):
@@ -118,29 +123,12 @@ class TestApply:
             for gate in circuit.gates:
                 expected = dense_gate(gate, num_qubits) @ expected
             assert np.abs(circuit.unitary() - expected).max() <= 1e-12
-            psi = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-            psi /= np.linalg.norm(psi)
-            state = circuit.run(StateVector.from_amplitudes(psi))
-            assert np.abs(state.amplitudes - expected @ psi).max() <= 1e-12
-            assert np.abs(circuit.run().amplitudes - expected[:, 0]).max() <= 1e-12
-
-
-class TestStateVector:
-    def test_zero_state(self):
-        state = StateVector.zero(3)
-        assert state.amplitudes[0] == 1.0
-        assert state.norm == 1.0
-
-    def test_from_amplitudes_validates(self):
-        with pytest.raises(ValueError, match="power of two"):
-            StateVector.from_amplitudes(np.ones(3) / np.sqrt(3))
-        with pytest.raises(ValueError, match="unit norm"):
-            StateVector.from_amplitudes(np.array([1.0, 1.0]))
+            assert np.abs(circuit.run() - expected[:, 0]).max() <= 1e-12
 
 
 class TestExpectation:
     def test_all_z_on_zero_state(self):
-        assert expectation(StateVector.zero(3), "ZZZ") == pytest.approx(1.0)
+        assert expectation(Circuit(3).run(), "ZZZ") == pytest.approx(1.0)
 
     def test_x_on_plus(self):
         plus = Circuit(1).h(0).run()
@@ -156,14 +144,12 @@ class TestExpectation:
         labels = ["XYZ", "ZZI", "IYX", "YYY", "XIZ"]
         for label in labels:
             state = random_circuit(3, 20, rng).run()
-            dense = np.real(
-                np.vdot(state.amplitudes, label_matrix(label) @ state.amplitudes)
-            )
+            dense = np.real(np.vdot(state, label_matrix(label) @ state))
             assert expectation(state, label) == pytest.approx(dense, abs=1e-12)
 
     def test_label_size_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(StateVector.zero(2), "XYZ")
+            expectation(Circuit(2).run(), "XYZ")
 
 
 class TestSampleExpectation:
@@ -172,7 +158,7 @@ class TestSampleExpectation:
         assert sample_expectation(state, "II", 16, seed=0) == 1.0
 
     def test_deterministic_outcome(self):
-        assert sample_expectation(StateVector.zero(1), "Z", 8192, seed=1) == 1.0
+        assert sample_expectation(Circuit(1).run(), "Z", 8192, seed=1) == 1.0
 
     def test_plus_state_is_unbiased(self):
         plus = Circuit(1).h(0).run()
@@ -203,7 +189,7 @@ class TestSampleExpectation:
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            sample_expectation(StateVector.zero(1), "Z", 0, seed=0)
+            sample_expectation(Circuit(1).run(), "Z", 0, seed=0)
 
 
 class TestMeasurementBasis:
@@ -214,7 +200,7 @@ class TestMeasurementBasis:
             label = "".join(chars)
             rotation, signs = measurement_basis(label)
             assert np.abs(rotation.conj().T @ rotation - np.eye(8)).max() <= 1e-12
-            probs = np.abs(rotation @ state.amplitudes) ** 2
+            probs = np.abs(rotation @ state) ** 2
             assert float(probs @ signs) == pytest.approx(expectation(state, label), abs=1e-12)
 
     def test_invalid_label(self):
@@ -231,34 +217,34 @@ class TestPrepareB:
         return np.concatenate([lead, np.zeros(4)]) / np.sqrt(2.0)
 
     def test_phi_zero(self):
-        state = prepare_b(0.0)
+        state = prepare_b_circuit(0.0).run()
         assert_allclose(
-            state.amplitudes.real, [INV_SQRT2, 0, 0, -INV_SQRT2, 0, 0, 0, 0], atol=1e-12
+            state.real, [INV_SQRT2, 0, 0, -INV_SQRT2, 0, 0, 0, 0], atol=1e-12
         )
 
     def test_reference_angle(self):
-        state = prepare_b(-160.725)
+        state = prepare_b_circuit(-160.725).run()
         assert_allclose(
-            state.amplitudes.real, [0.1184, 0.6971, -0.6971, -0.1184, 0, 0, 0, 0], atol=5e-5
+            state.real, [0.1184, 0.6971, -0.6971, -0.1184, 0, 0, 0, 0], atol=5e-5
         )
-        assert np.abs(state.amplitudes - self.template(-160.725)).max() <= 1e-10
+        assert np.abs(state - self.template(-160.725)).max() <= 1e-10
 
     @pytest.mark.parametrize("phi_deg", [-160.725, 0.0, 90.0, -37.5, 311.0])
     def test_matches_template_exactly(self, phi_deg):
-        state = prepare_b(phi_deg)
-        assert np.abs(state.amplitudes - self.template(phi_deg)).max() <= 1e-10
-        assert np.abs(state.amplitudes.imag).max() <= 1e-12
+        state = prepare_b_circuit(phi_deg).run()
+        assert np.abs(state - self.template(phi_deg)).max() <= 1e-10
+        assert np.abs(state.imag).max() <= 1e-12
 
     def test_block_qubit_untouched(self):
         # the most significant qubit stays |0>: upper half of amplitudes is 0
-        state = prepare_b(-160.725)
-        assert_allclose(state.amplitudes[4:], np.zeros(4))
+        state = prepare_b_circuit(-160.725).run()
+        assert_allclose(state[4:], np.zeros(4))
         assert all(0 not in g.qubits for g in prepare_b_circuit(-160.725).gates)
 
     def test_consistent_with_block_system(self):
         system = problem.build_block_system(problem.ProblemSpec())
-        state = prepare_b(-160.725)
-        assert np.abs(state.amplitudes.real - system.b_state).max() <= 1e-4
+        state = prepare_b_circuit(-160.725).run()
+        assert np.abs(state.real - system.b_state).max() <= 1e-4
 
     def test_gate_set(self):
         assert {g.name for g in prepare_b_circuit(12.0).gates} <= {"h", "ry", "cz", "cry"}

@@ -57,7 +57,7 @@ def test_exact_pipeline_properties(spec, seed):
     classical = problem.classical_solve(system)
     x = classical / np.linalg.norm(classical)
     assert abs(evaluator.dense_cost(x)) <= 1e-12
-    term_sum = evaluator.local_cost_of_state(sim.StateVector.from_amplitudes(x)).value
+    term_sum = evaluator.local_cost_of_state(x).value
     assert abs(term_sum) <= 1e-12
     fields = vqls.rescale_solution(x, system)
     assert np.abs(fields - classical.reshape(spec.n_t - 1, spec.n)).max() <= 1e-10
