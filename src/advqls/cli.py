@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +55,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.classical_only, bool):
             raise ValueError(f"classical_only must be true or false, got {self.classical_only!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
         if self.shots is not None and not _is_int_at_least(self.shots, 1):
             raise ValueError(f"shots must be an integer >= 1, null or 'exact', got {self.shots!r}")
         known = {f.name for f in dataclasses.fields(spsa.SpsaConfig)}
@@ -75,6 +78,10 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         if "problem" in kwargs:
+            if not isinstance(kwargs["problem"], Mapping):
+                raise ValueError(
+                    f"problem must be a mapping of ProblemSpec fields, got {kwargs['problem']!r}"
+                )
             kwargs["problem"] = problem.ProblemSpec(**kwargs["problem"])
         shots = kwargs.get("shots")
         if shots == "exact":

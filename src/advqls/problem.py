@@ -21,6 +21,8 @@ Fourier mode).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,16 @@ class ProblemSpec:
     kappa: float | None = None
 
     def __post_init__(self):
+        for name in ("n", "n_t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        reals = ("nu", "dt", "length") + (() if self.kappa is None else ("kappa",))
+        for name in reals:
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and -math.inf < value < math.inf):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 grid points, got n={self.n}")
         if self.n_t < 2:

@@ -34,6 +34,14 @@ The ansatz is real, so the cost is a ratio of two real quadratic forms,
 
 with H and G built once per evaluator, and the state comes from
 `ansatz_amplitudes` without the gate interpreter.
+
+`ansatz_amplitudes` and `rescale_solution` work over leading axes:
+(..., P) angles give (..., 2**Q) amplitudes and (..., n_t - 1, n) fields.
+They use stacked matmuls, elementwise products and last-axis sums only,
+never a product whose M dimension is the batch, so each row is
+byte-equal to the single-theta call whatever batch it rides in. `solve`
+uses that to build its whole solution trace after the SPSA run, in one
+call each.
 """
 
 from __future__ import annotations
@@ -111,25 +119,25 @@ def ansatz_for(spec: problem.ProblemSpec, units: int = AnsatzConfig.units) -> An
 
 
 def _angles(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != cfg.n_params:
-        raise ValueError(f"expected {cfg.n_params} angles, got {theta.size}")
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 0 or theta.shape[-1] != cfg.n_params:
+        raise ValueError(
+            f"expected {cfg.n_params} angles on the last axis, got shape {theta.shape}"
+        )
     return theta
 
 
 def ansatz_circuit(cfg: AnsatzConfig, theta: np.ndarray) -> sim.Circuit:
     """One unit = H on every qubit, CZ on each adjacent pair, Ry layer."""
-    theta = _angles(cfg, theta)
+    theta = _angles(cfg, theta).reshape(cfg.units, cfg.num_qubits)
     circuit = sim.Circuit(cfg.num_qubits)
-    k = 0
-    for _ in range(cfg.units):
+    for unit in theta:
         for q in range(cfg.num_qubits):
             circuit.h(q)
         for q in range(cfg.num_qubits - 1):
             circuit.cz(q, q + 1)
-        for q in range(cfg.num_qubits):
-            circuit.ry(theta[k], q)
-            k += 1
+        for q, angle in enumerate(unit):
+            circuit.ry(angle, q)
     return circuit
 
 
@@ -154,25 +162,56 @@ def _entangler(num_qubits: int) -> np.ndarray:
     return w
 
 
-def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    """Real amplitudes of `ansatz_circuit(cfg, theta).run()`.
+@lru_cache(maxsize=None)
+def _ry_layer_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of the Ry-layer Kronecker product (read-only, cached).
 
-    Each unit is one product with the cached entangler followed by the
-    Ry layer, the Ry on qubit q acting on the middle axis of a
-    (2**q, 2, -1) view.
+    With c_q, s_q the cos and sin of qubit q's half angle, the product's
+    entry (i, j) is sign(i, j) * coef[i ^ j], where coef[m] multiplies
+    s_q for each bit q set in m and c_q for each bit clear (qubit 0 the
+    top bit), and sign(i, j) = -1 for an odd count of qubits with
+    i_q = 0, j_q = 1 (the -s corner of Ry). `pick[q, m]` indexes the
+    factor of qubit q in coef[m] within the concatenated (c, s);
+    `gather[i, j]` indexes entry (i, j) within the concatenated
+    (coef, -coef).
+    """
+    idx = np.arange(2**num_qubits)
+    bits = (idx >> (num_qubits - 1 - np.arange(num_qubits)[:, None])) & 1
+    pick = np.arange(num_qubits)[:, None] + num_qubits * bits
+    flips = ~idx[:, None] & idx
+    parity = np.zeros_like(flips)
+    for q in range(num_qubits):
+        parity ^= (flips >> q) & 1
+    gather = (idx[:, None] ^ idx) + (parity << num_qubits)
+    for table in (pick, gather):
+        table.setflags(write=False)
+    return pick, gather
+
+
+def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """Real amplitudes of `ansatz_circuit(cfg, theta).run()`, over leading axes.
+
+    Maps (..., P) angles to (..., 2**Q) amplitudes. Unit by unit, its
+    real 2**Q x 2**Q operator is the Ry-layer product, gathered from the
+    unit's 2**Q cos/sin product coefficients (`_ry_layer_tables`), times
+    the cached entangler; the states move forward as a stack of
+    matrix-vector products, so no row's bits depend on the batch.
     """
     nq = cfg.num_qubits
-    half = _angles(cfg, theta).reshape(cfg.units, nq) / 2.0
-    cos, sin = np.cos(half), np.sin(half)
-    ry = np.stack((np.stack((cos, -sin), -1), np.stack((sin, cos), -1)), -2)
+    theta = _angles(cfg, theta)
+    half = theta.reshape(-1, cfg.units, nq) / 2.0
+    pick, gather = _ry_layer_tables(nq)
+    factors = np.concatenate((np.cos(half), np.sin(half)), -1).take(pick, -1)
+    coef = factors[..., 0, :]
+    for q in range(1, nq):
+        coef = coef * factors[..., q, :]
+    coef = np.concatenate((coef, -coef), -1)
     w = _entangler(nq)
-    x = np.zeros(2**nq)
-    x[0] = 1.0
-    for unit in ry:
-        x = w @ x
-        for q in range(nq):
-            x = (unit[q] @ x.reshape(2**q, 2, -1)).ravel()
-    return x
+    x = np.zeros((len(half), 2**nq, 1))
+    x[:, 0] = 1.0
+    for u in range(cfg.units):
+        x = (coef[:, u].take(gather, -1) @ w) @ x
+    return x.reshape(theta.shape[:-1] + (2**nq,))
 
 
 @dataclass
@@ -336,30 +375,33 @@ def is_submittable(count: int) -> bool:
 
 
 def rescale_solution(x: np.ndarray, system: problem.BlockSystem) -> np.ndarray:
-    """Physical fields from a normalized candidate vector.
+    """Physical fields from normalized candidate vectors, over leading axes.
 
-    Fixes the global sign against the normalized right-hand side, then
-    recovers the physical scale with the least-squares scalar
-    <A x, b_raw> / ||A x||^2, and splits the result into time blocks.
+    Recovers the physical scale with the least-squares scalar
+    <A x, b_raw> / ||A x||^2, which also fixes the global sign (for -x
+    it is exactly the negated scalar), and splits the result into time
+    blocks: (..., 2**Q) amplitudes give (..., n_t - 1, n) fields. Built
+    from elementwise products and last-axis sums, so each row matches
+    the row-wise call bit for bit. Raises `DegenerateStateError` if A x
+    vanishes for any row.
     """
-    x = np.real(np.asarray(x)).ravel()
-    ax = system.a_reduced @ x
-    if float(ax @ ax) < 1e-18:
+    x = np.real(np.asarray(x))
+    dim = system.a_reduced.shape[0]
+    if x.ndim == 0 or x.shape[-1] != dim:
+        raise ValueError(f"expected {dim} amplitudes on the last axis, got shape {x.shape}")
+    ax = (system.a_reduced * x[..., None, :]).sum(-1)
+    norm2 = (ax * ax).sum(-1)
+    if np.any(norm2 < 1e-18):
         raise DegenerateStateError("A x is numerically zero; run did not converge")
-    sign = 1.0
-    if np.linalg.norm(-ax - system.b_state) < np.linalg.norm(ax - system.b_state):
-        sign = -1.0
-    x_signed = sign * x
-    ax_signed = sign * ax
-    scale = float(ax_signed @ system.b_raw) / float(ax_signed @ ax_signed)
-    fields = scale * x_signed
-    return fields.reshape(system.spec.n_t - 1, system.spec.n)
+    scale = (ax * system.b_raw).sum(-1) / norm2
+    return (scale[..., None] * x).reshape(x.shape[:-1] + (system.spec.n_t - 1, system.spec.n))
 
 
 def extract_solution(
     theta: np.ndarray, system: problem.BlockSystem, cfg: AnsatzConfig
 ) -> np.ndarray:
-    """Fields u(t = dt), u(t = 2 dt), ... from a parameter vector."""
+    """Fields u(t = dt), u(t = 2 dt), ... from a parameter vector, or
+    from each row of a stack of them."""
     return rescale_solution(ansatz_amplitudes(cfg, theta), system)
 
 
@@ -456,6 +498,12 @@ def solve(
     per full_sym circuit. A run that hits the iteration cap is returned
     with converged=False rather than raised.
 
+    The SPSA callback only records theta_k. After the run the whole
+    solution trace, (iterations + 1, n_t - 1, n), comes from one batched
+    `ansatz_amplitudes` call and one `rescale_solution` call, and
+    u_fields is its last row; a degenerate state at any theta_k raises
+    `DegenerateStateError` there.
+
     The starting vector and the SPSA perturbations come from
     `default_rng(seed)`; shot noise comes from a stream spawned from
     `SeedSequence(seed)`, so the sampler never shifts the perturbations.
@@ -491,16 +539,16 @@ def solve(
             x = ansatz_amplitudes(ansatz, theta)
             return evaluator.local_cost_of_state(x, shots, shot_rng).value
 
-    solution_trace: list[np.ndarray] = []
+    thetas: list[np.ndarray] = []
+    result = spsa.run(
+        theta_init, cost_fn, spsa_cfg, rng=rng,
+        callback=lambda _k, theta, _cost: thetas.append(theta),
+    )
 
-    def record(_k, theta, _cost):
-        solution_trace.append(
-            rescale_solution(ansatz_amplitudes(ansatz, theta), system)
-        )
-
-    result = spsa.run(theta_init, cost_fn, spsa_cfg, rng=rng, callback=record)
-
-    u_fields = extract_solution(result.theta, system, ansatz)
+    # the batch kernels reproduce each row's single-theta bits, so the
+    # last row is the fields of theta_final
+    solution_trace = rescale_solution(ansatz_amplitudes(ansatz, np.array(thetas)), system)
+    u_fields = solution_trace[-1].copy()
     classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
     rmse_per_time = [
         {
@@ -513,7 +561,7 @@ def solve(
     return SolveRecord(
         theta_final=result.theta,
         cost_trace=result.cost_trace,
-        solution_trace=np.asarray(solution_trace),
+        solution_trace=solution_trace,
         u_fields=u_fields,
         rmse_per_time=rmse_per_time,
         iterations=result.iterations,

@@ -322,6 +322,14 @@ class TestErrorContract:
             ({"ansatz_units": 2.5}, [], "ansatz_units"),
             ({"classical_only": "no"}, [], "classical_only"),
             ({"spsa_overrides": {"max_iter": 2.5}}, [], "max_iter"),
+            ({"problem": {"n": 4.0}}, [], "n must be an integer"),
+            ({"problem": {"n_t": True}}, [], "n_t must be an integer"),
+            ({"problem": {"nu": "x"}}, [], "nu must be a finite real number"),
+            ({"problem": {"dt": float("nan")}}, [], "dt must be a finite real number"),
+            ({"problem": {"length": float("inf")}}, [], "length must be a finite real number"),
+            ({"problem": {"kappa": "1"}}, [], "kappa must be a finite real number"),
+            ({"problem": 5}, [], "problem must be a mapping"),
+            ({"out_dir": 5}, [], "out_dir"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):

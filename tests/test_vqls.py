@@ -86,13 +86,21 @@ class TestAnsatz:
     @pytest.mark.parametrize("num_qubits", range(1, 6))
     @pytest.mark.parametrize("units", range(1, 5))
     def test_real_amplitudes_match_circuit(self, num_qubits, units):
+        # and each row of a batch is byte-equal to its single-theta call
         cfg = AnsatzConfig(num_qubits=num_qubits, units=units)
         rng = np.random.default_rng(100 * num_qubits + units)
-        for _ in range(5):
-            theta = rng.uniform(0, 2 * np.pi, cfg.n_params)
-            x = ansatz_amplitudes(cfg, theta)
-            assert x.dtype == np.float64
+        thetas = rng.uniform(0, 2 * np.pi, (201, cfg.n_params))
+        single = np.array([ansatz_amplitudes(cfg, theta) for theta in thetas])
+        assert single.dtype == np.float64
+        for theta, x in zip(thetas, single):
             assert np.abs(x - ansatz_circuit(cfg, theta).run()).max() <= 1e-12
+        for batch in (1, 2, 24, 201):
+            batched = ansatz_amplitudes(cfg, thetas[:batch])
+            assert batched.shape == (batch, 2**num_qubits)
+            assert batched.tobytes() == single[:batch].tobytes()
+        grid = ansatz_amplitudes(cfg, thetas[:24].reshape(4, 6, cfg.n_params))
+        assert grid.shape == (4, 6, 2**num_qubits)
+        assert grid.tobytes() == single[:24].tobytes()
 
 
 class TestBetaTerm:
@@ -433,6 +441,27 @@ class TestSolutionExtraction:
     def test_zero_vector_flagged(self):
         with pytest.raises(DegenerateStateError):
             rescale_solution(np.zeros(8), SYSTEM)
+        # one degenerate row fails a whole batch
+        x = ansatz_amplitudes(ANSATZ, np.random.default_rng(44).uniform(0, 2 * np.pi, (24, 12)))
+        x[5] = 0.0
+        with pytest.raises(DegenerateStateError):
+            rescale_solution(x, SYSTEM)
+
+    @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (16, 3)])
+    def test_batched_rows_match_single_calls(self, n, n_t):
+        system = problem.build_block_system(problem.ProblemSpec(n=n, n_t=n_t))
+        cfg = vqls.ansatz_for(system.spec)
+        thetas = np.random.default_rng(n + n_t).uniform(0, 2 * np.pi, (201, cfg.n_params))
+        x = ansatz_amplitudes(cfg, thetas)
+        single = np.array([rescale_solution(row, system) for row in x])
+        for batch in (1, 2, 24, 201):
+            batched = rescale_solution(x[:batch], system)
+            assert batched.shape == (batch, n_t - 1, n)
+            assert batched.tobytes() == single[:batch].tobytes()
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="amplitudes"):
+            rescale_solution(np.zeros(7), SYSTEM)
 
     def test_extract_from_theta(self):
         theta = np.random.default_rng(41).uniform(0, 2 * np.pi, 12)
@@ -473,6 +502,23 @@ class TestSolve:
         monkeypatch.setattr(pauli, "decompose", counting)
         solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=2, stop_rule="none"), seed=0)
         assert calls == [SYSTEM.a_reduced.shape]
+
+    def test_trace_built_in_one_batched_call(self, monkeypatch):
+        # one state per cost evaluation plus one batch for the whole trace;
+        # rebuilding each theta_k's state in the SPSA callback would make 18
+        shapes = []
+        amplitudes = vqls.ansatz_amplitudes
+
+        def counting(cfg, theta):
+            shapes.append(np.shape(theta))
+            return amplitudes(cfg, theta)
+
+        monkeypatch.setattr(vqls, "ansatz_amplitudes", counting)
+        rec = solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=5, stop_rule="none"), seed=0)
+        monkeypatch.undo()
+        assert len(shapes) == rec.cost_evaluations + 1 == 12
+        assert shapes[-1] == (6, 12)
+        assert rec.u_fields.tobytes() == extract_solution(rec.theta_final, SYSTEM, ANSATZ).tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
