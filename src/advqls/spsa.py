@@ -8,6 +8,8 @@ updates theta and wraps every component into [0, 2 pi).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -48,10 +50,18 @@ class SpsaConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "gamma", "A", "a", "c", "tol"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and -math.inf < value < math.inf):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.alpha <= 0 or self.gamma <= 0:
             raise ValueError("alpha and gamma must be positive")
         if self.c <= 0:
             raise ValueError("perturbation size c must be positive")
+        if self.A <= -1:
+            # a_k = a / (k + 1 + A)^alpha needs k + 1 + A > 0 from k = 0
+            raise ValueError(f"stability offset A must be > -1, got {self.A!r}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_iter < 0:
@@ -97,9 +107,10 @@ def step(
     """
     a_k, c_k = gains(k, cfg)
     delta = rng.integers(0, 2, size=theta.size) * 2 - 1
-    cost_plus = cost_fn(theta + c_k * delta)
-    cost_minus = cost_fn(theta - c_k * delta)
-    gradient = (cost_plus - cost_minus) / (2.0 * c_k * delta)
+    perturbation = c_k * delta
+    cost_plus = cost_fn(theta + perturbation)
+    cost_minus = cost_fn(theta - perturbation)
+    gradient = (cost_plus - cost_minus) / (2.0 * perturbation)
     theta_next = (theta - a_k * gradient) % (2.0 * np.pi)
     return theta_next, 0.5 * (cost_plus + cost_minus)
 

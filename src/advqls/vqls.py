@@ -191,26 +191,24 @@ def _ry_layer_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     """Real amplitudes of `ansatz_circuit(cfg, theta).run()`, over leading axes.
 
-    Maps (..., P) angles to (..., 2**Q) amplitudes. Unit by unit, its
-    real 2**Q x 2**Q operator is the Ry-layer product, gathered from the
-    unit's 2**Q cos/sin product coefficients (`_ry_layer_tables`), times
-    the cached entangler; the states move forward as a stack of
-    matrix-vector products, so no row's bits depend on the batch.
+    Maps (..., P) angles to (..., 2**Q) amplitudes. Every unit's real
+    2**Q x 2**Q operator, the Ry-layer product times the cached
+    entangler, is built at once: one gather of all units' 2**Q cos/sin
+    product coefficients (`_ry_layer_tables`) and one stacked matmul.
+    The first unit acts on |0...0>, so its output is column 0 of its
+    operator; the later units follow as a stack of matrix-vector
+    products, so no row's bits depend on the batch.
     """
     nq = cfg.num_qubits
     theta = _angles(cfg, theta)
     half = theta.reshape(-1, cfg.units, nq) / 2.0
     pick, gather = _ry_layer_tables(nq)
     factors = np.concatenate((np.cos(half), np.sin(half)), -1).take(pick, -1)
-    coef = factors[..., 0, :]
-    for q in range(1, nq):
-        coef = coef * factors[..., q, :]
-    coef = np.concatenate((coef, -coef), -1)
-    w = _entangler(nq)
-    x = np.zeros((len(half), 2**nq, 1))
-    x[:, 0] = 1.0
-    for u in range(cfg.units):
-        x = (coef[:, u].take(gather, -1) @ w) @ x
+    coef = np.multiply.reduce(factors, axis=-2)
+    ops = np.concatenate((coef, -coef), -1).take(gather, -1) @ _entangler(nq)
+    x = ops[:, 0, :, :1]
+    for u in range(1, cfg.units):
+        x = ops[:, u] @ x
     return x.reshape(theta.shape[:-1] + (2**nq,))
 
 
@@ -265,20 +263,32 @@ class CostEvaluator:
         if np.abs(u.conj().T @ u - np.eye(dim)).max() > 1e-10:
             raise ValueError("b-prep operator is not unitary")
         self.u = u
+        self._u_dag = u.conj().T
         self.num_qubits = nq
         self._z = np.array([_z_signs(nq, q) for q in range(nq)])
         self._paulis = np.stack([pauli.label_matrix(l) for l in self.labels])
         # Closed form of the exact cost for real x: the imaginary parts of
         # these Hermitian matrices are antisymmetric and cancel in x^T M x.
         a = pauli.reconstruct(decomposition)
-        local = u @ np.diag(0.5 - sum(self._z) / (2.0 * nq)) @ u.conj().T
+        local = u @ np.diag(0.5 - sum(self._z) / (2.0 * nq)) @ self._u_dag
         self._h = np.real(a.conj().T @ local @ a)
         self._g = np.real(a.conj().T @ a)
         # Shot mode: one Hadamard test per full_sym circuit, named by its
         # flat index into the (1 + Q, L, L) constituents (beta for l < l',
         # delta_q for l <= l'), with the phase of c_l* c_l' on its ancilla.
-        ones = np.ones((self.term_count, self.term_count), dtype=bool)
+        # `_mirrors` is each circuit's (l', l) entry, or its own on the
+        # delta diagonal; `_beta_diagonal` the unit (l, l) entries of beta.
+        # Adding `_signed_zeros` (0 on beta, -0j on delta) to the estimates
+        # and 0 to their conjugates gives exact zeros the signs of the dense
+        # fill T + triu(T, 1)^H + I_beta, so beta and delta equal it bit for
+        # bit.
+        n_terms = self.term_count
+        ones = np.ones((n_terms, n_terms), dtype=bool)
         self._circuits = np.flatnonzero(np.stack([np.triu(ones, 1)] + [np.triu(ones)] * nq))
+        block, row, col = np.unravel_index(self._circuits, (1 + nq, n_terms, n_terms))
+        self._mirrors = np.ravel_multi_index((block, col, row), (1 + nq, n_terms, n_terms))
+        self._beta_diagonal = np.arange(n_terms) * (n_terms + 1)
+        self._signed_zeros = np.where(block == 0, 0j, complex(0.0, -0.0))
         phase = np.exp(1j * np.angle(np.outer(self.coefficients.conj(), self.coefficients)))
         self._phases = np.broadcast_to(phase, (1 + nq, *ones.shape)).take(self._circuits)
 
@@ -320,7 +330,7 @@ class CostEvaluator:
         n_terms = len(self.labels)
         nq = self.num_qubits
         v = (self._paulis @ amplitudes).T
-        w = self.u.conj().T @ v
+        w = self._u_dag @ v
         beta = v.conj().T @ v
         delta = (w.conj().T * self._z[:, None, :]) @ w
         if shots is not None:
@@ -331,10 +341,12 @@ class CostEvaluator:
             # rounding can put r a few ulps outside [-1, 1] near the solution
             p = np.clip((1.0 + np.real(self._phases * exact)) / 2.0, 0.0, 1.0)
             counts = rng.binomial(shots, p)
+            estimates = self._phases.conj() * (2.0 * counts / shots - 1.0)
             terms = np.zeros((1 + nq, n_terms, n_terms), dtype=complex)
-            np.put(terms, self._circuits, self._phases.conj() * (2.0 * counts / shots - 1.0))
-            terms += np.triu(terms, 1).conj().swapaxes(1, 2)
-            terms[0] += np.eye(n_terms)
+            # mirrors first, so the delta diagonal keeps its estimate
+            np.put(terms, self._mirrors, estimates.conj() + 0.0)
+            np.put(terms, self._circuits, estimates + self._signed_zeros)
+            np.put(terms, self._beta_diagonal, 1.0)
             beta, delta = terms[0], terms[1:]
         c = self.coefficients
         denominator = float(np.real(c.conj() @ beta @ c))

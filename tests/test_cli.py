@@ -330,6 +330,12 @@ class TestErrorContract:
             ({"problem": {"kappa": "1"}}, [], "kappa must be a finite real number"),
             ({"problem": 5}, [], "problem must be a mapping"),
             ({"out_dir": 5}, [], "out_dir"),
+            ({"spsa_overrides": {"A": -1.0}}, [], "A must be > -1"),
+            ({"spsa_overrides": {"A": -11.0}}, [], "A must be > -1"),
+            ({"spsa_overrides": {"tol": "x"}}, [], "tol must be a finite real number"),
+            ({"spsa_overrides": {"alpha": "x"}}, [], "alpha must be a finite real number"),
+            ({"spsa_overrides": {"c": float("nan")}}, [], "c must be a finite real number"),
+            ({"spsa_overrides": {"a": float("inf")}}, [], "a must be a finite real number"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):

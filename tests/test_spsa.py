@@ -70,6 +70,21 @@ class TestStep:
         assert set(np.round(delta).astype(int)) <= {-1, 1}
         np.testing.assert_allclose(seen[1], theta - c_0 * delta, atol=1e-12)
 
+    def test_perturbation_points_are_bit_exact(self):
+        cfg = SpsaConfig()
+        seen = []
+
+        def cost(theta):
+            seen.append(theta.copy())
+            return 0.0
+
+        theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 64)
+        step(theta, cost, 0, cfg, np.random.default_rng(1))
+        _, c_0 = gains(0, cfg)
+        d = np.random.default_rng(1).integers(0, 2, 64) * 2 - 1
+        assert seen[0].tobytes() == (theta + c_0 * d).tobytes()
+        assert seen[1].tobytes() == (theta - c_0 * d).tobytes()
+
     def test_angles_wrapped(self):
         def cost(theta):
             return float(theta.sum())  # constant gradient estimate drives a move
@@ -176,10 +191,19 @@ class TestConfigValidation:
             {"patience": 0},
             {"max_iter": -1},
             {"stop_rule": "bogus"},
+            {"A": -1.0},
+            {"A": -11.0},
+            {"tol": "x"},
+            {"alpha": "x"},
+            {"c": float("nan")},
+            {"a": float("inf")},
+            {"gamma": True},
+            {"A": np.nan},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
             SpsaConfig(**kwargs)
 
     def test_overrides(self):

@@ -267,6 +267,25 @@ class TestSampledStrings:
                 rotated = u.conj().T @ paulis[l] @ x
                 assert abs(p_evaluator - (1 + sim.expectation(rotated, z_labels[q])) / 2) <= 1e-12
 
+    @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (16, 3)])
+    def test_sampled_constituents_match_hermitian_fill(self, n, n_t):
+        # reference: the estimates on the upper triangle, then the dense
+        # fill T + triu(T, 1)^H + I on beta, compared bit for bit (signed
+        # zeros included)
+        ev, cfg = _spec_evaluator(n, n_t)
+        nq, n_terms = cfg.num_qubits, ev.term_count
+        x = ansatz_amplitudes(cfg, np.random.default_rng(7).uniform(0, 2 * np.pi, cfg.n_params))
+        for seed in range(100):
+            rng = RecordingGenerator(seed)
+            sampled = ev.local_cost_of_state(x, 8192, rng)
+            (shots, _, counts), = rng.draws
+            terms = np.zeros((1 + nq, n_terms, n_terms), dtype=complex)
+            np.put(terms, ev._circuits, ev._phases.conj() * (2.0 * counts / shots - 1.0))
+            terms += np.triu(terms, 1).conj().swapaxes(1, 2)
+            terms[0] += np.eye(n_terms)
+            assert sampled.beta.tobytes() == terms[0].tobytes()
+            assert sampled.delta.tobytes() == terms[1:].tobytes()
+
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (8, 3), (16, 3)])
     def test_near_solution_probabilities_clipped(self, n, n_t):
         # rounding puts some (1 + r) / 2 a few ulps outside [0, 1] here,
