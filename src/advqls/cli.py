@@ -220,8 +220,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     for i, record in enumerate(records):
         with open(_member_path(out_dir, i), "w", encoding="utf-8") as fh:
-            json.dump(record.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+            # dumps takes the C encoder; json.dump would run the Python one
+            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
 
     mean_fields = vqls.ensemble_mean_fields(records)
     header = ["x"] + [f"u_t{k}_mean" for k in range(1, spec.n_t)]

@@ -4,6 +4,12 @@ Gain sequences follow Spall's standard form a_k = a / (k + 1 + A)^alpha,
 c_k = c / (k + 1)^gamma. Each step estimates the full gradient from two
 cost evaluations at theta +/- c_k * Delta with a Rademacher Delta, then
 updates theta and wraps every component into [0, 2 pi).
+
+`step` and `run` share one update core, which takes the costs of both
+points from one `pair_cost` call on their (2, P) stack. `step` makes it
+two scalar `cost_fn` calls; a caller of `run` with a batched cost (such
+as `vqls.solve`) evaluates both points at once. `run` draws Delta for up
+to 64 iterations at a time, in rows equal to the per-step draws.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import numpy as np
 __all__ = ["SpsaConfig", "SpsaResult", "gains", "step", "run"]
 
 _STOP_RULES = ("diff", "threshold", "none")
+
+# costs of the two rows of a (2, P) point stack
+PairCost = Callable[[np.ndarray], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,29 @@ def gains(k: int, cfg: SpsaConfig) -> tuple[float, float]:
     return a_k, c_k
 
 
+# rows of the (2, P) point stack: theta + c_k Delta, then theta - c_k Delta
+_SIGNS = np.array([[1.0], [-1.0]])
+# iterations whose Delta `run` draws in one call
+_DELTA_BLOCK = 64
+
+
+def _pairwise(cost_fn: Callable[[np.ndarray], float]) -> PairCost:
+    """A pair cost that makes two scalar `cost_fn` calls, + then -."""
+    return lambda points: (cost_fn(points[0]), cost_fn(points[1]))
+
+
+def _advance(
+    theta: np.ndarray, pair_cost: PairCost, k: int, cfg: SpsaConfig, delta: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The update of iteration k along the Rademacher direction `delta`."""
+    a_k, c_k = gains(k, cfg)
+    perturbation = c_k * delta
+    cost_plus, cost_minus = pair_cost(theta + _SIGNS * perturbation)
+    gradient = (cost_plus - cost_minus) / (2.0 * perturbation)
+    theta_next = (theta - a_k * gradient) % (2.0 * np.pi)
+    return theta_next, 0.5 * (cost_plus + cost_minus)
+
+
 def step(
     theta: np.ndarray,
     cost_fn: Callable[[np.ndarray], float],
@@ -105,14 +137,8 @@ def step(
     Returns the wrapped next iterate and the mean of the two perturbed
     costs as the iteration's cost estimate.
     """
-    a_k, c_k = gains(k, cfg)
     delta = rng.integers(0, 2, size=theta.size) * 2 - 1
-    perturbation = c_k * delta
-    cost_plus = cost_fn(theta + perturbation)
-    cost_minus = cost_fn(theta - perturbation)
-    gradient = (cost_plus - cost_minus) / (2.0 * perturbation)
-    theta_next = (theta - a_k * gradient) % (2.0 * np.pi)
-    return theta_next, 0.5 * (cost_plus + cost_minus)
+    return _advance(theta, _pairwise(cost_fn), k, cfg, delta)
 
 
 def run(
@@ -121,21 +147,40 @@ def run(
     cfg: SpsaConfig,
     rng: np.random.Generator | None = None,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
+    *,
+    pair_cost: PairCost | None = None,
 ) -> SpsaResult:
-    """Iterate `step` until the stopping rule fires or max_iter is reached.
+    """Iterate the SPSA update until the stopping rule fires or max_iter
+    is reached.
 
     cost_trace[0] is the cost at theta_init (one extra evaluation beyond
     the two per iteration), so traces always carry an iteration-0 row.
+    `cost_fn` evaluates theta_init; each iteration's two points come as
+    one (2, P) stack, theta + c_k Delta then theta - c_k Delta, to
+    `pair_cost`, which returns their two costs (by default two
+    `cost_fn` calls, in that order). The result equals a loop of `step`
+    calls on the same generator bit for bit.
+
+    Delta is drawn for up to 64 iterations at a time with one
+    `rng.integers` call, whose rows equal the per-step draws. A run that
+    stops early has drawn ahead, so the generator's state after `run`
+    is unspecified.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    if pair_cost is None:
+        pair_cost = _pairwise(cost_fn)
     theta = np.asarray(theta_init, dtype=float).copy()
     trace = [float(cost_fn(theta))]
     if callback is not None:
         callback(0, theta, trace[0])
     streak = 0
     for k in range(cfg.max_iter):
-        theta, estimate = step(theta, cost_fn, k, cfg, rng)
+        row = k % _DELTA_BLOCK
+        if row == 0:
+            rows = min(_DELTA_BLOCK, cfg.max_iter - k)
+            deltas = rng.integers(0, 2, size=(rows, theta.size)) * 2 - 1
+        theta, estimate = _advance(theta, pair_cost, k, cfg, deltas[row])
         trace.append(float(estimate))
         if callback is not None:
             callback(k + 1, theta, trace[-1])

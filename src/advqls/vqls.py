@@ -40,8 +40,9 @@ with H and G built once per evaluator, and the state comes from
 They use stacked matmuls, elementwise products and last-axis sums only,
 never a product whose M dimension is the batch, so each row is
 byte-equal to the single-theta call whatever batch it rides in. `solve`
-uses that to build its whole solution trace after the SPSA run, in one
-call each.
+uses that twice: each SPSA iteration evaluates its two points
+theta +/- c_k Delta as one (2, P) call, and the whole solution trace is
+built after the SPSA run, in one call each.
 """
 
 from __future__ import annotations
@@ -507,8 +508,11 @@ def solve(
     strings, and drives the local cost with SPSA from a uniformly random
     starting vector in [0, 2 pi)^P: the closed form when shots is None,
     else the sampled term sum on the ansatz amplitudes, one binomial draw
-    per full_sym circuit. A run that hits the iteration cap is returned
-    with converged=False rather than raised.
+    per full_sym circuit. Each iteration's two points come from one
+    `ansatz_amplitudes` call on their (2, P) stack and are costed row by
+    row, + then -, which gives the bits of two single-theta evaluations.
+    A run that hits the iteration cap is returned with converged=False
+    rather than raised.
 
     The SPSA callback only records theta_k. After the run the whole
     solution trace, (iterations + 1, n_t - 1, n), comes from one batched
@@ -542,19 +546,22 @@ def solve(
     theta_init = rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params)
 
     if shots is None:
-        def cost_fn(theta):
-            return evaluator.dense_cost(ansatz_amplitudes(ansatz, theta))
+        state_cost = evaluator.dense_cost
     else:
         shot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
-        def cost_fn(theta):
-            x = ansatz_amplitudes(ansatz, theta)
+        def state_cost(x):
             return evaluator.local_cost_of_state(x, shots, shot_rng).value
+
+    # each row of a batch is byte-equal to its single-theta call, so one
+    # kernel call serves both SPSA points; the rows are costed + then -
+    def pair_cost(points):
+        return [state_cost(x) for x in ansatz_amplitudes(ansatz, points)]
 
     thetas: list[np.ndarray] = []
     result = spsa.run(
-        theta_init, cost_fn, spsa_cfg, rng=rng,
-        callback=lambda _k, theta, _cost: thetas.append(theta),
+        theta_init, lambda theta: state_cost(ansatz_amplitudes(ansatz, theta)), spsa_cfg,
+        rng=rng, callback=lambda _k, theta, _cost: thetas.append(theta), pair_cost=pair_cost,
     )
 
     # the batch kernels reproduce each row's single-theta bits, so the

@@ -181,6 +181,69 @@ class TestRun:
         assert seen == [0, 1, 2, 3]
 
 
+
+def _cosine_bowl(p):
+    """Scalar and pair forms of mean(1 - cos(theta - phi)); each row of the
+    pair form is byte-equal to the scalar call."""
+    phi = np.random.default_rng(p).uniform(0.0, 2.0 * np.pi, p)
+
+    def cost(theta):
+        return float((1.0 - np.cos(theta - phi)).mean())
+
+    def pair_cost(points):
+        return (1.0 - np.cos(points - phi)).mean(-1)
+
+    return cost, pair_cost
+
+
+class TestPairCost:
+    @pytest.mark.parametrize("p", [5, 12])
+    @pytest.mark.parametrize("rule, tol", [("none", 1e-2), ("diff", 1e-3), ("threshold", 1e-2)])
+    def test_pair_cost_matches_scalar_calls(self, p, rule, tol):
+        # 130 iterations cross two 64-row Delta blocks
+        cost, pair_cost = _cosine_bowl(p)
+        cfg = SpsaConfig(max_iter=130, stop_rule=rule, tol=tol)
+        scalar = run(np.zeros(p), cost, cfg, rng=np.random.default_rng(3))
+        shapes = []
+
+        def recording(points):
+            shapes.append(points.shape)
+            return pair_cost(points)
+
+        paired = run(np.zeros(p), cost, cfg, rng=np.random.default_rng(3), pair_cost=recording)
+        assert np.array(paired.cost_trace).tobytes() == np.array(scalar.cost_trace).tobytes()
+        assert paired.theta.tobytes() == scalar.theta.tobytes()
+        assert paired.converged == scalar.converged
+        assert shapes == [(2, p)] * scalar.iterations
+        if rule == "none":
+            assert scalar.iterations == 130
+
+    @pytest.mark.parametrize("p", [5, 9, 12, 16])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_block_draws_replay_per_step_draws(self, p, seed):
+        # the points of iteration k are theta_k +/- c_k Delta_k with Delta_k
+        # the k-th per-step draw of default_rng(seed), across block borders
+        cfg = SpsaConfig(max_iter=130, stop_rule="none")
+        cost, pair_cost = _cosine_bowl(p)
+        thetas, points = [], []
+
+        def recording(x):
+            points.append(x.copy())
+            return pair_cost(x)
+
+        run(
+            np.zeros(p), cost, cfg, rng=np.random.default_rng(seed),
+            callback=lambda _k, theta, _cost: thetas.append(theta), pair_cost=recording,
+        )
+        replay = np.random.default_rng(seed)
+        assert len(points) == 130
+        for k, x in enumerate(points):
+            _, c_k = gains(k, cfg)
+            delta = replay.integers(0, 2, p) * 2 - 1
+            expected = np.stack((thetas[k] + c_k * delta, thetas[k] - c_k * delta))
+            assert x.tobytes() == expected.tobytes()
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -180,6 +180,21 @@ class RecordingGenerator:
         return counts
 
 
+class StateAtDraws:
+    """A real Generator that notes its state before every `integers` draw."""
+
+    def __init__(self, seed, seen, default_rng=np.random.default_rng):
+        self.rng = default_rng(seed)
+        self.seen = seen
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def integers(self, *args, **kwargs):
+        self.seen.append(json.dumps(self.rng.bit_generator.state, sort_keys=True))
+        return self.rng.integers(*args, **kwargs)
+
+
 def hadamard_test_p0(x, phase, p_l, p_lp, u=None, z=None):
     """P(ancilla = 0) of a dense (Q+1)-qubit Hadamard test, ancilla first.
 
@@ -523,8 +538,8 @@ class TestSolve:
         assert calls == [SYSTEM.a_reduced.shape]
 
     def test_trace_built_in_one_batched_call(self, monkeypatch):
-        # one state per cost evaluation plus one batch for the whole trace;
-        # rebuilding each theta_k's state in the SPSA callback would make 18
+        # one state for theta_0, one (2, P) batch per SPSA iteration and one
+        # batch for the whole trace; two calls per iteration would make 12
         shapes = []
         amplitudes = vqls.ansatz_amplitudes
 
@@ -535,9 +550,37 @@ class TestSolve:
         monkeypatch.setattr(vqls, "ansatz_amplitudes", counting)
         rec = solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=5, stop_rule="none"), seed=0)
         monkeypatch.undo()
-        assert len(shapes) == rec.cost_evaluations + 1 == 12
-        assert shapes[-1] == (6, 12)
+        assert shapes == [(12,)] + [(2, 12)] * rec.iterations + [(rec.iterations + 1, 12)]
+        assert len(shapes) == 7
         assert rec.u_fields.tobytes() == extract_solution(rec.theta_final, SYSTEM, ANSATZ).tobytes()
+
+    @pytest.mark.parametrize("n, n_t", [(4, 3), (16, 3)])
+    @pytest.mark.parametrize("shots", [None, 8192])
+    def test_matches_loop_of_scalar_steps(self, n, n_t, shots):
+        # oracle: the public one-step update on scalar cost functions, one
+        # kernel call per point; 70 iterations cross a Delta block border
+        spec = problem.ProblemSpec(n=n, n_t=n_t)
+        cfg = spsa.SpsaConfig(max_iter=70, stop_rule="none")
+        ev, ansatz = _spec_evaluator(n, n_t)
+        seed = 5
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params)
+        if shots is None:
+            def cost(t):
+                return ev.dense_cost(ansatz_amplitudes(ansatz, t))
+        else:
+            shot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+            def cost(t):
+                return ev.local_cost_of_state(ansatz_amplitudes(ansatz, t), shots, shot_rng).value
+
+        trace = [cost(theta)]
+        for k in range(cfg.max_iter):
+            theta, estimate = spsa.step(theta, cost, k, cfg, rng)
+            trace.append(float(estimate))
+        rec = solve(spec, spsa_cfg=cfg, shots=shots, seed=seed)
+        assert rec.theta_final.tobytes() == theta.tobytes()
+        assert np.array(rec.cost_trace).tobytes() == np.array(trace).tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -581,22 +624,29 @@ class TestSolve:
 
     def test_shot_noise_does_not_shift_spsa_stream(self, monkeypatch):
         # theta_init and the SPSA perturbations share one stream, shot noise
-        # has its own, so the stream SPSA sees is the same with or without shots
-        step = spsa.step
+        # has its own, so the stream SPSA sees is the same with or without
+        # shots: the generator state at every block draw of Delta and the
+        # Delta row of every iteration
+        advance = spsa._advance
 
         def run(shots):
-            states = []
+            seen = []
 
-            def recording(theta, cost_fn, k, cfg, rng):
-                states.append(json.dumps(rng.bit_generator.state, sort_keys=True))
-                return step(theta, cost_fn, k, cfg, rng)
+            def recording_advance(theta, pair_cost, k, cfg, delta):
+                seen.append(delta.tobytes())
+                return advance(theta, pair_cost, k, cfg, delta)
 
-            monkeypatch.setattr(spsa, "step", recording)
+            def recording_rng(seed=None):
+                return StateAtDraws(seed, seen)
+
+            monkeypatch.setattr(spsa, "_advance", recording_advance)
+            monkeypatch.setattr(np.random, "default_rng", recording_rng)
             solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=5, stop_rule="none"), shots=shots, seed=4)
-            return states
+            monkeypatch.undo()
+            return seen
 
         exact = run(None)
-        assert len(exact) == 5
+        assert len(exact) == 1 + 5
         assert run(8192) == exact
 
     def test_run_ensemble_parallel_matches_serial(self):
