@@ -13,6 +13,8 @@ condition at the chosen grid spacing and maximum signal speed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -49,6 +51,12 @@ class ForecastConfig:
     km_per_degree: float = 111.32
 
     def __post_init__(self):
+        reals = ("horizontal_resolution_deg", "forecast_length_s", "u_max", "cfl", "km_per_degree")
+        for name in reals:
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and -math.inf < value < math.inf):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.horizontal_resolution_deg <= 0:
             raise ValueError("resolution must be positive")
         if self.tau < 1:
@@ -57,6 +65,8 @@ class ForecastConfig:
             raise ValueError("level and variable counts must be >= 1")
         if self.forecast_length_s <= 0 or self.cfl <= 0 or self.km_per_degree <= 0:
             raise ValueError("forecast length, CFL number and km/degree must be positive")
+        if self.u_max <= 0:
+            raise ValueError("u_max must be positive")
 
     def at_resolution(self, resolution_deg: float) -> "ForecastConfig":
         return replace(self, horizontal_resolution_deg=resolution_deg)
@@ -64,8 +74,6 @@ class ForecastConfig:
 
 def cfl_timestep(cfg: ForecastConfig) -> tuple[float, int]:
     """(dt seconds, number of time levels including zero)."""
-    if cfg.u_max <= 0:
-        raise ValueError("u_max must be positive")
     grid_spacing_m = cfg.horizontal_resolution_deg * cfg.km_per_degree * 1000.0
     dt = cfg.cfl * grid_spacing_m / cfg.u_max
     n_t = int(cfg.forecast_length_s // dt) + 1

@@ -7,23 +7,29 @@ weighted Pauli strings (see `advqls.pauli`) the cost
     C(theta) = 1/2 - (1/2Q) * sum_q sum_{ll'} c_l* c_l' delta_ll'^q
                              / sum_{ll'} c_l* c_l' beta_ll'
 
-is assembled from the constituent expectation values
+is built from the constituent expectation values
 
     beta_ll'    = <x| P_l P_l' |x>
     delta_ll'^q = <x| P_l U Z_q U^dag P_l' |x>,
 
 where U prepares |b>. C is 0 exactly when A|x> is proportional to |b>.
-Both constituent matrices are Hermitian in (l, l'); the number of
-constituents a device needs per evaluation (l <= l' only, with the unit
-beta diagonal known for free) is the "full symmetry" circuit-count mode
-reported by `circuit_count`.
+Both constituent matrices are Hermitian in (l, l') and the beta diagonal
+is 1, so a device runs one Hadamard test per beta_ll' with l < l' and
+per delta_ll'^q with l <= l': the "full symmetry" circuit-count mode
+reported by `circuit_count`. With the phase e^{i phi} of c_l* c_l' on
+its ancilla, circuit c reads r_c = Re(e^{i phi} constituent), and the
+cost is a ratio of two linear forms in these readouts,
 
-The term sum (`CostEvaluator.local_cost`) builds all constituents as
-dense products of the Pauli matrices with the state; exact, it is the
-independent oracle for the closed form below. Sampled, it runs the
-paper's Hadamard tests, one per full_sym circuit: the ancilla reads
-Re(e^{i phi} constituent) with the phase of c_l* c_l' folded into it, so
-each circuit is one binomial draw of `shots` ancilla outcomes, and one
+    C = 1/2 - sum_{c in delta} w_c r_c
+              / (2Q (sum_l |c_l|^2 + sum_{c in beta} w_c r_c)),
+
+with w_c = |c_l c_l'|, doubled when l != l'.
+
+The term sum (`CostEvaluator.local_cost_of_state`) evaluates that form.
+Exact, its readouts come from dense products of the Pauli matrices with
+the state, and it is the independent oracle for the closed form below.
+Sampled, it runs the paper's Hadamard tests: each readout is
+2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
 evaluation draws all of them in one call.
 
 Exact mode (`solve` with shots=None) evaluates the cost in closed form.
@@ -215,11 +221,10 @@ def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CostBreakdown:
-    """One cost evaluation with its constituent matrices."""
+    """One cost evaluation with the circuit readouts it was formed from."""
 
     value: float
-    beta: np.ndarray    # (L, L), Hermitian, unit diagonal
-    delta: np.ndarray   # (Q, L, L), Hermitian in (l, l') per q
+    readouts: np.ndarray   # (C,), one per full_sym circuit, beta first
 
 
 def _z_signs(num_qubits: int, q: int) -> np.ndarray:
@@ -274,23 +279,19 @@ class CostEvaluator:
         local = u @ np.diag(0.5 - sum(self._z) / (2.0 * nq)) @ self._u_dag
         self._h = np.real(a.conj().T @ local @ a)
         self._g = np.real(a.conj().T @ a)
-        # Shot mode: one Hadamard test per full_sym circuit, named by its
-        # flat index into the (1 + Q, L, L) constituents (beta for l < l',
-        # delta_q for l <= l'), with the phase of c_l* c_l' on its ancilla.
-        # `_mirrors` is each circuit's (l', l) entry, or its own on the
-        # delta diagonal; `_beta_diagonal` the unit (l, l) entries of beta.
-        # Adding `_signed_zeros` (0 on beta, -0j on delta) to the estimates
-        # and 0 to their conjugates gives exact zeros the signs of the dense
-        # fill T + triu(T, 1)^H + I_beta, so beta and delta equal it bit for
-        # bit.
+        # One Hadamard test per full_sym circuit, named by its flat index
+        # into the (1 + Q, L, L) constituents (beta for l < l', delta_q for
+        # l <= l'), with the phase of c_l* c_l' on its ancilla and the
+        # weight w_c of its readout in the linear forms (see module doc).
         n_terms = self.term_count
+        c = self.coefficients
         ones = np.ones((n_terms, n_terms), dtype=bool)
         self._circuits = np.flatnonzero(np.stack([np.triu(ones, 1)] + [np.triu(ones)] * nq))
-        block, row, col = np.unravel_index(self._circuits, (1 + nq, n_terms, n_terms))
-        self._mirrors = np.ravel_multi_index((block, col, row), (1 + nq, n_terms, n_terms))
-        self._beta_diagonal = np.arange(n_terms) * (n_terms + 1)
-        self._signed_zeros = np.where(block == 0, 0j, complex(0.0, -0.0))
-        phase = np.exp(1j * np.angle(np.outer(self.coefficients.conj(), self.coefficients)))
+        _, row, col = np.unravel_index(self._circuits, (1 + nq, n_terms, n_terms))
+        self._beta_count = n_terms * (n_terms - 1) // 2
+        self._weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
+        self._norm2 = float(np.sum(np.abs(c) ** 2))
+        phase = np.exp(1j * np.angle(np.outer(c.conj(), c)))
         self._phases = np.broadcast_to(phase, (1 + nq, *ones.shape)).take(self._circuits)
 
     @property
@@ -312,52 +313,40 @@ class CostEvaluator:
         return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
 
     def local_cost_of_state(self, amplitudes, shots=None, rng=None) -> CostBreakdown:
-        """Assemble the cost from its constituents (exact or shot-sampled).
+        """The cost as a linear form in the full_sym readouts (exact or shot-sampled).
 
-        The exact constituents are dense products: with x = `amplitudes`,
-        V = [P_l x]_l and W = U^dag V, beta = V^dag V and
-        delta_q = W^dag diag(z_q) W.
+        With x = `amplitudes`, V = [P_l x]_l and W = U^dag V, the dense
+        products beta = V^dag V and delta_q = W^dag diag(z_q) W hold every
+        constituent. Circuit c, one beta_ll' with l < l' or delta_ll'^q
+        with l <= l' in that order, reads r_c = Re(e^{i phi} constituent)
+        with e^{i phi} = c_l* c_l' / |c_l c_l'| on its ancilla.
 
-        Shot mode runs the full_sym circuits: one Hadamard test for each
-        beta_ll' with l < l' and each delta_ll'^q with l <= l', in that
-        order. With the phase e^{i phi} = c_l* c_l' / |c_l c_l'| on its
-        ancilla, a circuit measures r = Re(e^{i phi} constituent), which
-        is all the cost reads of the pair. Every circuit gets `shots`
-        ancilla outcomes, k ~ Binomial(shots, (1 + r) / 2), all drawn in
-        one call; the estimate e^{-i phi} (2k / shots - 1) fills the
-        constituent, mirrored by conjugate symmetry, with the beta
-        diagonal 1 by unitarity.
+        Shot mode gives every circuit `shots` ancilla outcomes,
+        k ~ Binomial(shots, (1 + r) / 2), all drawn in one call, and
+        replaces r by 2k / shots - 1. Both modes then evaluate the module
+        doc's ratio of linear forms in r.
         """
-        n_terms = len(self.labels)
-        nq = self.num_qubits
         v = (self._paulis @ amplitudes).T
         w = self._u_dag @ v
         beta = v.conj().T @ v
         delta = (w.conj().T * self._z[:, None, :]) @ w
+        readouts = np.real(self._phases * np.concatenate((beta[None], delta)).take(self._circuits))
         if shots is not None:
             _check_shots(shots)
             if rng is None:
                 rng = np.random.default_rng()
-            exact = np.concatenate((beta[None], delta)).take(self._circuits)
             # rounding can put r a few ulps outside [-1, 1] near the solution
-            p = np.clip((1.0 + np.real(self._phases * exact)) / 2.0, 0.0, 1.0)
-            counts = rng.binomial(shots, p)
-            estimates = self._phases.conj() * (2.0 * counts / shots - 1.0)
-            terms = np.zeros((1 + nq, n_terms, n_terms), dtype=complex)
-            # mirrors first, so the delta diagonal keeps its estimate
-            np.put(terms, self._mirrors, estimates.conj() + 0.0)
-            np.put(terms, self._circuits, estimates + self._signed_zeros)
-            np.put(terms, self._beta_diagonal, 1.0)
-            beta, delta = terms[0], terms[1:]
-        c = self.coefficients
-        denominator = float(np.real(c.conj() @ beta @ c))
+            p = np.clip((1.0 + readouts) / 2.0, 0.0, 1.0)
+            readouts = 2.0 * rng.binomial(shots, p) / shots - 1.0
+        weighted = self._weights * readouts
+        denominator = self._norm2 + float(weighted[: self._beta_count].sum())
         if denominator < 1e-12:
             raise DegenerateStateError(
                 "norm of A|x(theta)> is numerically zero; cost undefined"
             )
-        numerator = sum(float(np.real(c.conj() @ delta[q] @ c)) for q in range(nq))
-        value = 0.5 - numerator / (2.0 * nq * denominator)
-        return CostBreakdown(value=value, beta=beta, delta=delta)
+        numerator = float(weighted[self._beta_count :].sum())
+        value = 0.5 - numerator / (2.0 * self.num_qubits * denominator)
+        return CostBreakdown(value=value, readouts=readouts)
 
 
 def circuit_count(num_qubits: int, n_terms: int, mode: str = "baseline") -> int:

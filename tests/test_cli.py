@@ -349,3 +349,29 @@ class TestErrorContract:
         assert parsed["error"] == "ValueError"
         assert message in parsed["message"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--resolutions", "inf"], "horizontal_resolution_deg must be a finite real number"),
+            (["--resolutions", "nan"], "horizontal_resolution_deg must be a finite real number"),
+            (["--resolutions", "5,inf"], "horizontal_resolution_deg must be a finite real number"),
+            (["--u-max", "nan"], "u_max must be a finite real number"),
+            (["--u-max", "inf"], "u_max must be a finite real number"),
+            (["--u-max", "0"], "u_max must be positive"),
+            (["--forecast-days", "inf"], "forecast_length_s must be a finite real number"),
+            (["--forecast-days", "nan"], "forecast_length_s must be a finite real number"),
+            (["--cfl", "nan"], "cfl must be a finite real number"),
+            (["--km-per-degree", "inf"], "km_per_degree must be a finite real number"),
+        ],
+    )
+    def test_invalid_estimate_fails_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "estimate"
+        out.mkdir()
+        assert main(["estimate", "--tau", "3", "--out", str(out), *flags]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert message in parsed["message"]
+        assert list(out.iterdir()) == []

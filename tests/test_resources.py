@@ -131,6 +131,11 @@ class TestConfigValidation:
             {"horizontal_resolution_deg": 5.0, "tau": 0},
             {"horizontal_resolution_deg": 5.0, "tau": 1, "vertical_levels": 0},
             {"horizontal_resolution_deg": 5.0, "tau": 1, "cfl": 0.0},
+            {"horizontal_resolution_deg": float("nan"), "tau": 1},
+            {"horizontal_resolution_deg": 5.0, "tau": 1, "forecast_length_s": float("inf")},
+            {"horizontal_resolution_deg": 5.0, "tau": 1, "u_max": True},
+            {"horizontal_resolution_deg": 5.0, "tau": 1, "u_max": -1.0},
+            {"horizontal_resolution_deg": 5.0, "tau": 1, "km_per_degree": "111"},
         ],
     )
     def test_invalid(self, kwargs):

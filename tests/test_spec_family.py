@@ -85,7 +85,9 @@ def test_shot_expected_counts_match_dense_cost(spec, seed):
     rng = np.random.default_rng(seed)
     for _ in range(3):
         x = vqls.ansatz_amplitudes(cfg, rng.uniform(0.0, 2.0 * np.pi, cfg.n_params))
-        sampled = evaluator.local_cost_of_state(x, 8192, ExpectedCounts()).value
+        expected = ExpectedCounts()
+        sampled = evaluator.local_cost_of_state(x, 8192, expected).value
+        assert expected.p.size == vqls.circuit_count(cfg.num_qubits, evaluator.term_count, "full_sym")
         assert abs(sampled - evaluator.dense_cost(x)) <= 1e-12
 
 

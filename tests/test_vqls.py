@@ -103,29 +103,45 @@ class TestAnsatz:
         assert grid.tobytes() == single[:24].tobytes()
 
 
+def full_sym_circuits(num_qubits, n_terms):
+    """(q, l, l') of every full_sym circuit in draw order: beta for l < l'
+    (q = None), then delta_q for l <= l'."""
+    circuits = [(None, l, lp) for l in range(n_terms) for lp in range(l + 1, n_terms)]
+    circuits += [
+        (q, l, lp) for q in range(num_qubits) for l in range(n_terms) for lp in range(l, n_terms)
+    ]
+    return circuits
+
+
+def hermitian_fill_cost(readouts, coefficients, num_qubits):
+    """Independent oracle of the term sum: the constituents e^{-i phi} r
+    on the upper triangle, filled to T + triu(T, 1)^H + I on beta, then
+    contracted as 1/2 - sum_q c^dag delta_q c / (2Q c^dag beta c)."""
+    c = np.asarray(coefficients)
+    terms = np.zeros((1 + num_qubits, c.size, c.size), dtype=complex)
+    for (q, l, lp), r in zip(full_sym_circuits(num_qubits, c.size), readouts, strict=True):
+        phase = np.conj(c[l]) * c[lp] / abs(c[l] * c[lp])
+        terms[0 if q is None else 1 + q, l, lp] = np.conj(phase) * r
+    terms += np.triu(terms, 1).conj().swapaxes(1, 2)
+    terms[0] += np.eye(c.size)
+    beta, delta = terms[0], terms[1:]
+    numerator = sum(np.real(c.conj() @ delta[q] @ c) for q in range(num_qubits))
+    return 0.5 - numerator / (2.0 * num_qubits * np.real(c.conj() @ beta @ c))
+
+
 class TestBetaTerm:
-    def test_diagonal_is_one(self, evaluator):
-        rng = np.random.default_rng(5)
-        theta = rng.uniform(0, 2 * np.pi, 12)
-        beta = evaluator.local_cost(theta).beta
-        assert np.abs(np.diag(beta) - 1.0).max() <= 1e-12
-
-    def test_conjugate_symmetry(self, evaluator):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            theta = rng.uniform(0, 2 * np.pi, 12)
-            l, lp = rng.integers(DECOMP.term_count, size=2)
-            beta = evaluator.local_cost(theta).beta
-            assert beta[lp, l] == pytest.approx(np.conj(beta[l, lp]), abs=1e-12)
-
     def test_identity_times_pauli_is_expectation(self, evaluator):
-        # III is term 0; pairing it with term j reduces to <x|P_j|x>
+        # III is term 0; circuit (0, j) reads Re(e^{i phi} <x|P_j|x>)
         theta = np.random.default_rng(9).uniform(0, 2 * np.pi, 12)
         state = ansatz_state(ANSATZ, theta)
-        beta = evaluator.local_cost(theta).beta
-        for j, label in enumerate(DECOMP.labels):
-            expected = sim.expectation(state, label)
-            assert beta[0, j] == pytest.approx(expected, abs=1e-12)
+        readouts = evaluator.local_cost(theta).readouts
+        c = DECOMP.coefficients
+        circuits = full_sym_circuits(3, DECOMP.term_count)
+        assert DECOMP.labels[0] == "III"
+        for j, label in enumerate(DECOMP.labels[1:], start=1):
+            phase = np.conj(c[0]) * c[j] / abs(c[0] * c[j])
+            expected = np.real(phase * sim.expectation(state, label))
+            assert readouts[circuits.index((None, 0, j))] == pytest.approx(expected, abs=1e-12)
 
 
 class TestDeltaTerm:
@@ -134,20 +150,12 @@ class TestDeltaTerm:
         ev = CostEvaluator(DECOMP, ANSATZ, identity_prep)
         theta = np.random.default_rng(11).uniform(0, 2 * np.pi, 12)
         state = ansatz_state(ANSATZ, theta)
-        delta = ev.local_cost(theta).delta
+        readouts = ev.local_cost(theta).readouts
+        circuits = full_sym_circuits(3, DECOMP.term_count)
         for q in range(3):
             z_label = "I" * q + "Z" + "I" * (2 - q)
             expected = sim.expectation(state, z_label)
-            assert delta[q, 0, 0] == pytest.approx(expected, abs=1e-12)
-
-    def test_conjugate_symmetry(self, evaluator):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            theta = rng.uniform(0, 2 * np.pi, 12)
-            q = int(rng.integers(3))
-            l, lp = (int(v) for v in rng.integers(DECOMP.term_count, size=2))
-            delta = evaluator.local_cost(theta).delta
-            assert delta[q, lp, l] == pytest.approx(np.conj(delta[q, l, lp]), abs=1e-12)
+            assert readouts[circuits.index((q, 0, 0))] == pytest.approx(expected, abs=1e-12)
 
 
 def _spec_evaluator(n, n_t):
@@ -221,11 +229,9 @@ class TestSampledStrings:
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (8, 2), (16, 3)])
     def test_exact_sampler_gives_exact_constituents(self, n, n_t):
         # With expected counts in place of draws, the circuits' phases,
-        # indices and mirroring must rebuild the closed-form cost, which
-        # shares no code with them, and the measured part of every pair.
+        # indices and weights must rebuild the closed-form cost, which
+        # shares no code with them, and every exact readout.
         ev, cfg = _spec_evaluator(n, n_t)
-        c = ev.coefficients
-        phase = np.outer(c.conj(), c) / np.abs(np.outer(c, c))
         rng = np.random.default_rng(n + 10 * n_t)
         for _ in range(5):
             theta = rng.uniform(0, 2 * np.pi, cfg.n_params)
@@ -233,8 +239,8 @@ class TestSampledStrings:
             exact = ev.local_cost(theta)
             sampled = ev.local_cost(theta, shots=1, rng=ExpectedCounts())
             assert abs(sampled.value - dense) <= 1e-12
-            assert np.abs(np.real(phase * (sampled.beta - exact.beta))).max() <= 1e-12
-            assert np.abs(np.real(phase * (sampled.delta - exact.delta))).max() <= 1e-12
+            assert sampled.readouts.shape == exact.readouts.shape
+            assert np.abs(sampled.readouts - exact.readouts).max() <= 1e-12
 
     @pytest.mark.parametrize("n, n_t, circuits", [(4, 3, 105), (16, 3, 1925)])
     def test_one_binomial_draw_per_circuit(self, monkeypatch, n, n_t, circuits):
@@ -268,38 +274,32 @@ class TestSampledStrings:
         rng = RecordingGenerator(0)
         ev.local_cost(theta, 8192, rng)
         (_, p, _), = rng.draws
-        # draw order: beta for l < l', then delta_q for l <= l' (q = None for beta)
-        n_terms = len(c)
-        circuits = [(None, l, lp) for l in range(n_terms) for lp in range(l + 1, n_terms)]
-        circuits += [(q, l, lp) for q in range(nq) for l in range(n_terms) for lp in range(l, n_terms)]
-        assert p.size == len(circuits)
-        for (q, l, lp), p_evaluator in zip(circuits, p):
+        exact = ev.local_cost_of_state(x).readouts
+        circuits = full_sym_circuits(nq, len(c))
+        assert p.size == exact.size == len(circuits)
+        for (q, l, lp), p_evaluator, r in zip(circuits, p, exact):
             phase = np.conj(c[l]) * c[lp] / abs(c[l] * c[lp])
             z = None if q is None else pauli.label_matrix(z_labels[q])
             p0 = hadamard_test_p0(x, phase, paulis[l], paulis[lp], u, z)
             assert abs(p0 - p_evaluator) <= 1e-12
+            assert abs(2.0 * p0 - 1.0 - r) <= 1e-12
             if q is not None and l == lp:
                 rotated = u.conj().T @ paulis[l] @ x
                 assert abs(p_evaluator - (1 + sim.expectation(rotated, z_labels[q])) / 2) <= 1e-12
 
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (16, 3)])
     def test_sampled_constituents_match_hermitian_fill(self, n, n_t):
-        # reference: the estimates on the upper triangle, then the dense
-        # fill T + triu(T, 1)^H + I on beta, compared bit for bit (signed
-        # zeros included)
+        # the readouts are the recorded draw's 2k / shots - 1 bit for bit,
+        # and the value is the Hermitian fill's contraction of them
         ev, cfg = _spec_evaluator(n, n_t)
-        nq, n_terms = cfg.num_qubits, ev.term_count
         x = ansatz_amplitudes(cfg, np.random.default_rng(7).uniform(0, 2 * np.pi, cfg.n_params))
         for seed in range(100):
             rng = RecordingGenerator(seed)
             sampled = ev.local_cost_of_state(x, 8192, rng)
             (shots, _, counts), = rng.draws
-            terms = np.zeros((1 + nq, n_terms, n_terms), dtype=complex)
-            np.put(terms, ev._circuits, ev._phases.conj() * (2.0 * counts / shots - 1.0))
-            terms += np.triu(terms, 1).conj().swapaxes(1, 2)
-            terms[0] += np.eye(n_terms)
-            assert sampled.beta.tobytes() == terms[0].tobytes()
-            assert sampled.delta.tobytes() == terms[1:].tobytes()
+            assert sampled.readouts.tobytes() == (2.0 * counts / shots - 1.0).tobytes()
+            oracle = hermitian_fill_cost(sampled.readouts, ev.coefficients, cfg.num_qubits)
+            assert abs(sampled.value - oracle) <= 1e-12
 
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (8, 3), (16, 3)])
     def test_near_solution_probabilities_clipped(self, n, n_t):
@@ -361,18 +361,6 @@ class TestLocalCost:
         for _ in range(50):
             value = evaluator.local_cost(rng.uniform(0, 2 * np.pi, 12)).value
             assert -1e-12 <= value <= 1.0 + 1e-12
-
-    def test_breakdown_structure(self, evaluator):
-        theta = np.random.default_rng(23).uniform(0, 2 * np.pi, 12)
-        breakdown = evaluator.local_cost(theta)
-        n_terms = DECOMP.term_count
-        assert breakdown.beta.shape == (n_terms, n_terms)
-        assert breakdown.delta.shape == (3, n_terms, n_terms)
-        assert_allclose(np.diag(breakdown.beta), np.ones(n_terms))
-        assert np.abs(breakdown.beta - breakdown.beta.conj().T).max() <= 1e-12
-        for q in range(3):
-            d = breakdown.delta[q]
-            assert np.abs(d - d.conj().T).max() <= 1e-12
 
     def test_sign_flip_invariance(self, evaluator):
         theta = np.random.default_rng(29).uniform(0, 2 * np.pi, 12)
