@@ -43,16 +43,21 @@ class RunConfig:
     shots: int | None = None            # None = exact expectations
     ensemble_size: int = 24
     base_seed: int = 0
-    workers: int = 1
+    workers: int = 1                    # members run in lockstep in one process
     classical_only: bool = False
     out_dir: str | None = None          # default when --out is not given
 
     def __post_init__(self):
-        lowest = {"workers": 1, "ensemble_size": 1, "ansatz_units": 1, "base_seed": 0}
+        lowest = {"ensemble_size": 1, "ansatz_units": 1, "base_seed": 0}
         for name, low in lowest.items():
             value = getattr(self, name)
             if not _is_int_at_least(value, low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (_is_int_at_least(self.workers, 1) and self.workers == 1):
+            raise ValueError(
+                f"workers must be 1, got {self.workers!r}: ensemble members now run "
+                "in lockstep in one process"
+            )
         if not isinstance(self.classical_only, bool):
             raise ValueError(f"classical_only must be true or false, got {self.classical_only!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
@@ -120,8 +125,6 @@ def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         changes["base_seed"] = args.seed
     if getattr(args, "ensemble", None) is not None:
         changes["ensemble_size"] = args.ensemble
-    if getattr(args, "workers", None) is not None:
-        changes["workers"] = args.workers
     if getattr(args, "shots", None) is not None:
         if args.shots == "exact":
             changes["shots"] = None
@@ -216,7 +219,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         shots=cfg.shots,
         base_seed=cfg.base_seed,
         ensemble_size=cfg.ensemble_size,
-        workers=cfg.workers,
     )
     for i, record in enumerate(records):
         with open(_member_path(out_dir, i), "w", encoding="utf-8") as fh:
@@ -376,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, help="override base seed")
     p_solve.add_argument("--ensemble", type=int, help="override ensemble size")
     p_solve.add_argument("--shots", help="shot count or 'exact'")
-    p_solve.add_argument("--workers", type=int, help="parallel ensemble workers")
     p_solve.add_argument(
         "--classical-only",
         action="store_true",

@@ -13,6 +13,8 @@ most significant bit of the state index (see `advqls.sim`).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,9 +143,14 @@ def _coordinates(block: np.ndarray, prefix: str, out: dict[str, complex]) -> Non
 def decompose(matrix: np.ndarray, prune_eps: float = 1e-12) -> PauliDecomposition:
     """Expand a square power-of-two matrix into weighted Pauli strings.
 
-    Terms with |coefficient| <= prune_eps are dropped; the remaining terms
-    are ordered lexicographically by label (I < X < Y < Z).
+    Terms with |coefficient| <= prune_eps are dropped, so the
+    reconstruction misses each entry by at most their summed magnitude;
+    prune_eps must be a finite real number >= 0. The remaining terms are
+    ordered lexicographically by label (I < X < Y < Z).
     """
+    real = isinstance(prune_eps, numbers.Real) and not isinstance(prune_eps, bool)
+    if not (real and 0.0 <= prune_eps < math.inf):
+        raise ValueError(f"prune_eps must be a finite real number >= 0, got {prune_eps!r}")
     matrix = np.asarray(matrix, dtype=complex)
     num_qubits = _num_qubits(matrix)
     coords: dict[str, complex] = {}

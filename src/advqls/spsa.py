@@ -5,11 +5,15 @@ c_k = c / (k + 1)^gamma. Each step estimates the full gradient from two
 cost evaluations at theta +/- c_k * Delta with a Rademacher Delta, then
 updates theta and wraps every component into [0, 2 pi).
 
-`step` and `run` share one update core, which takes the costs of both
-points from one `pair_cost` call on their (2, P) stack. `step` makes it
-two scalar `cost_fn` calls; a caller of `run` with a batched cost (such
-as `vqls.solve`) evaluates both points at once. `run` draws Delta for up
-to 64 iterations at a time, in rows equal to the per-step draws.
+`step` is one update on a scalar cost, two `cost_fn` calls. The
+iteration loop is `run_lockstep`: it steps M parameter vectors at once,
+each drawing Delta from its own generator, and hands every iteration's
+points to one batched cost call as the (2, m, P) stack of the m vectors
+still running. A vector whose stopping rule fires drops out of the
+stack. Delta is drawn for up to 64 iterations at a time, in rows equal
+to the per-step draws, and the update is elementwise, so every vector's
+result equals a loop of `step` calls on its generator bit for bit. `run`
+is the one-vector case on a scalar cost.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["SpsaConfig", "SpsaResult", "gains", "step", "run"]
+__all__ = ["SpsaConfig", "SpsaResult", "gains", "step", "run", "run_lockstep"]
 
 _STOP_RULES = ("diff", "threshold", "none")
 
-# costs of the two rows of a (2, P) point stack
-PairCost = Callable[[np.ndarray], Sequence[float]]
+# costs, shape (..., m), of points (..., m, P) of the m running vectors,
+# which the second argument names by their rows of theta_init
+BatchCost = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -102,27 +107,10 @@ def gains(k: int, cfg: SpsaConfig) -> tuple[float, float]:
     return a_k, c_k
 
 
-# rows of the (2, P) point stack: theta + c_k Delta, then theta - c_k Delta
-_SIGNS = np.array([[1.0], [-1.0]])
-# iterations whose Delta `run` draws in one call
+# rows of the (2, m, P) point stack: theta + c_k Delta, then theta - c_k Delta
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+# iterations whose Delta each vector draws in one call
 _DELTA_BLOCK = 64
-
-
-def _pairwise(cost_fn: Callable[[np.ndarray], float]) -> PairCost:
-    """A pair cost that makes two scalar `cost_fn` calls, + then -."""
-    return lambda points: (cost_fn(points[0]), cost_fn(points[1]))
-
-
-def _advance(
-    theta: np.ndarray, pair_cost: PairCost, k: int, cfg: SpsaConfig, delta: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The update of iteration k along the Rademacher direction `delta`."""
-    a_k, c_k = gains(k, cfg)
-    perturbation = c_k * delta
-    cost_plus, cost_minus = pair_cost(theta + _SIGNS * perturbation)
-    gradient = (cost_plus - cost_minus) / (2.0 * perturbation)
-    theta_next = (theta - a_k * gradient) % (2.0 * np.pi)
-    return theta_next, 0.5 * (cost_plus + cost_minus)
 
 
 def step(
@@ -137,8 +125,12 @@ def step(
     Returns the wrapped next iterate and the mean of the two perturbed
     costs as the iteration's cost estimate.
     """
-    delta = rng.integers(0, 2, size=theta.size) * 2 - 1
-    return _advance(theta, _pairwise(cost_fn), k, cfg, delta)
+    a_k, c_k = gains(k, cfg)
+    perturbation = c_k * (rng.integers(0, 2, size=theta.size) * 2 - 1)
+    cost_plus = cost_fn(theta + perturbation)
+    cost_minus = cost_fn(theta - perturbation)
+    gradient = (cost_plus - cost_minus) / (2.0 * perturbation)
+    return (theta - a_k * gradient) % (2.0 * np.pi), 0.5 * (cost_plus + cost_minus)
 
 
 def run(
@@ -147,50 +139,110 @@ def run(
     cfg: SpsaConfig,
     rng: np.random.Generator | None = None,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
-    *,
-    pair_cost: PairCost | None = None,
 ) -> SpsaResult:
     """Iterate the SPSA update until the stopping rule fires or max_iter
     is reached.
 
     cost_trace[0] is the cost at theta_init (one extra evaluation beyond
     the two per iteration), so traces always carry an iteration-0 row.
-    `cost_fn` evaluates theta_init; each iteration's two points come as
-    one (2, P) stack, theta + c_k Delta then theta - c_k Delta, to
-    `pair_cost`, which returns their two costs (by default two
-    `cost_fn` calls, in that order). The result equals a loop of `step`
-    calls on the same generator bit for bit.
-
-    Delta is drawn for up to 64 iterations at a time with one
-    `rng.integers` call, whose rows equal the per-step draws. A run that
-    stops early has drawn ahead, so the generator's state after `run`
-    is unspecified.
+    Each iteration calls `cost_fn` on theta + c_k Delta, then on
+    theta - c_k Delta; `callback(k, theta_k, cost_trace[k])` sees every
+    iterate from k = 0. This is the one-vector case of `run_lockstep`,
+    so the result equals a loop of `step` calls on the same generator
+    bit for bit, and the generator's state after `run` is unspecified.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if pair_cost is None:
-        pair_cost = _pairwise(cost_fn)
-    theta = np.asarray(theta_init, dtype=float).copy()
-    trace = [float(cost_fn(theta))]
+    theta = np.asarray(theta_init, dtype=float)
+
+    def cost(points, _rows):
+        flat = [cost_fn(x) for x in points.reshape(-1, theta.size)]
+        return np.array(flat, dtype=float).reshape(points.shape[:-1])
+
+    report = None
     if callback is not None:
-        callback(0, theta, trace[0])
-    streak = 0
+        def report(k, thetas, costs, _rows):
+            callback(k, thetas[0], costs[0])
+
+    return run_lockstep(theta[None], cost, cfg, [rng], report)[0]
+
+
+def run_lockstep(
+    theta_init: np.ndarray,
+    cost: BatchCost,
+    cfg: SpsaConfig,
+    rngs: Sequence[np.random.Generator],
+    callback: Callable[[int, np.ndarray, list[float], np.ndarray], None] | None = None,
+) -> list[SpsaResult]:
+    """Run SPSA on each row of the (M, P) `theta_init` in lockstep, row i
+    drawing Delta from `rngs[i]`.
+
+    `cost(points, rows)` gets one stack of points of the m rows still
+    running, named by the index array `rows`: their (m, P) starting
+    vectors once, then every iteration's (2, m, P) stack, theta + c_k Delta
+    over theta - c_k Delta. It returns their costs as an array of shape
+    (m,) or (2, m).
+    After every iteration, and once for k = 0, `callback(k, theta, costs,
+    rows)` sees the (m, P) iterates and their cost estimates before rows
+    whose stopping rule fired drop out. Delta is drawn for up to 64
+    iterations at a time with one `integers` call per row, whose rows
+    equal the per-step draws, so a row that stops early has drawn ahead.
+
+    Returns one `SpsaResult` per row of `theta_init`.
+    """
+    theta = np.array(theta_init, dtype=float)
+    if theta.ndim != 2 or len(rngs) != len(theta):
+        raise ValueError(
+            f"need (M, P) starting vectors and M generators, got shape "
+            f"{theta.shape} and {len(rngs)} generators"
+        )
+    rows = np.arange(len(theta))
+    active = rows.tolist()
+    costs = np.asarray(cost(theta, rows), dtype=float).tolist()
+    traces = [[c] for c in costs]
+    if callback is not None:
+        callback(0, theta, costs, rows)
+    results: list[SpsaResult | None] = [None] * len(theta)
+    streaks = [0] * len(theta)
     for k in range(cfg.max_iter):
         row = k % _DELTA_BLOCK
         if row == 0:
-            rows = min(_DELTA_BLOCK, cfg.max_iter - k)
-            deltas = rng.integers(0, 2, size=(rows, theta.size)) * 2 - 1
-        theta, estimate = _advance(theta, pair_cost, k, cfg, deltas[row])
-        trace.append(float(estimate))
+            # the block's gains, then from its perturbations c_k Delta_k the
+            # offsets of both points and the divisors 2 c_k Delta_k
+            block = [gains(j, cfg) for j in range(k, min(k + _DELTA_BLOCK, cfg.max_iter))]
+            size = (len(block), theta.shape[1])
+            deltas = np.stack([rngs[i].integers(0, 2, size=size) for i in active], 1) * 2 - 1
+            perturbations = np.array([c_j for _, c_j in block])[:, None, None] * deltas
+            offsets, divisors = _SIGNS * perturbations[:, None], 2.0 * perturbations
+        pair = cost(theta + offsets[row], rows)
+        gradient = (pair[0] - pair[1])[:, None] / divisors[row]
+        a_k = block[row][0]
+        theta = (theta - a_k * gradient) % (2.0 * np.pi)
+        costs = []
+        stopped = []
+        for pos, (i, plus, minus) in enumerate(zip(active, *pair.tolist())):
+            trace = traces[i]
+            trace.append(0.5 * (plus + minus))
+            costs.append(trace[-1])
+            if cfg.stop_rule == "diff":
+                within = abs(trace[-1] - trace[-2]) < cfg.tol
+            elif cfg.stop_rule == "threshold":
+                within = trace[-1] < cfg.tol
+            else:
+                within = False
+            streaks[i] = streaks[i] + 1 if within else 0
+            if streaks[i] >= cfg.patience:
+                results[i] = SpsaResult(theta[pos], trace, True)
+                stopped.append(pos)
         if callback is not None:
-            callback(k + 1, theta, trace[-1])
-        if cfg.stop_rule == "diff":
-            within = abs(trace[-1] - trace[-2]) < cfg.tol
-        elif cfg.stop_rule == "threshold":
-            within = trace[-1] < cfg.tol
-        else:
-            within = False
-        streak = streak + 1 if within else 0
-        if streak >= cfg.patience:
-            return SpsaResult(theta, trace, True)
-    return SpsaResult(theta, trace, False)
+            callback(k + 1, theta, costs, rows)
+        if stopped:
+            keep = np.delete(np.arange(len(rows)), stopped)
+            theta, rows = theta[keep], rows[keep]
+            offsets, divisors = offsets[:, :, keep], divisors[:, keep]
+            active = rows.tolist()
+            if not active:
+                break
+    for pos, i in enumerate(active):
+        results[i] = SpsaResult(theta[pos], traces[i], False)
+    return results

@@ -32,7 +32,7 @@ Sampled, it runs the paper's Hadamard tests: each readout is
 2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
 evaluation draws all of them in one call.
 
-Exact mode (`solve` with shots=None) evaluates the cost in closed form.
+Exact mode (`run_ensemble` with shots=None) evaluates the cost in closed form.
 The ansatz is real, so the cost is a ratio of two real quadratic forms,
 
     C = x^T H x / x^T G x,   H = Re A^dag U (I/2 - sum_q Z_q / 2Q) U^dag A,
@@ -41,19 +41,22 @@ The ansatz is real, so the cost is a ratio of two real quadratic forms,
 with H and G built once per evaluator, and the state comes from
 `ansatz_amplitudes` without the gate interpreter.
 
-`ansatz_amplitudes` and `rescale_solution` work over leading axes:
-(..., P) angles give (..., 2**Q) amplitudes and (..., n_t - 1, n) fields.
-They use stacked matmuls, elementwise products and last-axis sums only,
-never a product whose M dimension is the batch, so each row is
-byte-equal to the single-theta call whatever batch it rides in. `solve`
-uses that twice: each SPSA iteration evaluates its two points
-theta +/- c_k Delta as one (2, P) call, and the whole solution trace is
-built after the SPSA run, in one call each.
+`ansatz_amplitudes`, `rescale_solution`, `CostEvaluator.dense_cost`
+and `CostEvaluator.local_cost_of_state` work over leading axes: (..., P)
+angles give (..., 2**Q) amplitudes, (..., n_t - 1, n) fields and (...)
+costs. They use stacked matmuls, elementwise products and last-axis sums
+only, never a product whose M dimension is the batch, so each row is
+byte-equal to the single-state call whatever batch it rides in.
+`run_ensemble` uses that to step every member in lockstep in one
+process: it builds the system, decomposition, evaluator and classical
+reference once, each SPSA iteration makes one `ansatz_amplitudes` call on
+the (2, m, P) stack of the m members still running and costs it in one
+call, and the solution traces of all members come from one call each
+after the run. `solve` is its one-member case.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,7 +90,7 @@ MAX_SUBMITTABLE_CIRCUITS = 900
 
 _COUNT_MODES = ("baseline", "beta_sym", "full_sym")
 
-# SPSA settings of `solve` when none are given: the absolute-threshold
+# SPSA settings of `run_ensemble` when none are given: the absolute-threshold
 # stopping rule (see `spsa.SpsaConfig.stop_rule`) over the standard gains.
 DEFAULT_SPSA = spsa.SpsaConfig(stop_rule="threshold")
 
@@ -223,8 +226,8 @@ def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
 class CostBreakdown:
     """One cost evaluation with the circuit readouts it was formed from."""
 
-    value: float
-    readouts: np.ndarray   # (C,), one per full_sym circuit, beta first
+    value: float | np.ndarray   # (...) over the leading axes of the state
+    readouts: np.ndarray        # (..., C), one per full_sym circuit, beta first
 
 
 def _z_signs(num_qubits: int, q: int) -> np.ndarray:
@@ -300,14 +303,16 @@ class CostEvaluator:
 
     # -- cost ----------------------------------------------------------
 
-    def dense_cost(self, x: np.ndarray) -> float:
-        """Exact cost x^T H x / x^T G x of real amplitudes x (see module doc)."""
-        denominator = float(x @ self._g @ x)
-        if denominator < 1e-12:
+    def dense_cost(self, x: np.ndarray) -> float | np.ndarray:
+        """Exact cost x^T H x / x^T G x of real amplitudes x (see module
+        doc), over leading axes: (..., 2**Q) amplitudes give (...) costs."""
+        row, col = x[..., None, :], x[..., :, None]
+        denominator = (row @ self._g @ col)[..., 0, 0]
+        if denominator.min() < 1e-12:
             raise DegenerateStateError(
                 "norm of A|x(theta)> is numerically zero; cost undefined"
             )
-        return float(x @ self._h @ x) / denominator
+        return (row @ self._h @ col)[..., 0, 0] / denominator
 
     def local_cost(self, theta: np.ndarray, shots=None, rng=None) -> CostBreakdown:
         return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
@@ -325,26 +330,38 @@ class CostEvaluator:
         k ~ Binomial(shots, (1 + r) / 2), all drawn in one call, and
         replaces r by 2k / shots - 1. Both modes then evaluate the module
         doc's ratio of linear forms in r.
+
+        Over leading axes, (..., 2**Q) amplitudes give (...) values and
+        (..., C) readouts, and one `rng.binomial` call draws every row. In
+        place of `rng` a list may hold one generator per row of axis -2
+        (the members of a lockstep ensemble); generator j then draws the
+        rows [..., j, :] in one call.
         """
-        v = (self._paulis @ amplitudes).T
+        v = (self._paulis @ np.asarray(amplitudes)[..., None, :, None])[..., 0].swapaxes(-1, -2)
         w = self._u_dag @ v
-        beta = v.conj().T @ v
-        delta = (w.conj().T * self._z[:, None, :]) @ w
-        readouts = np.real(self._phases * np.concatenate((beta[None], delta)).take(self._circuits))
+        beta = v.conj().swapaxes(-1, -2) @ v
+        delta = (w.conj().swapaxes(-1, -2)[..., None, :, :] * self._z[:, None, :]) @ w[..., None, :, :]
+        constituents = np.concatenate((beta[..., None, :, :], delta), -3)
+        flat = constituents.reshape(constituents.shape[:-3] + (-1,))
+        readouts = np.real(self._phases * flat.take(self._circuits, -1))
         if shots is not None:
             _check_shots(shots)
-            if rng is None:
-                rng = np.random.default_rng()
             # rounding can put r a few ulps outside [-1, 1] near the solution
             p = np.clip((1.0 + readouts) / 2.0, 0.0, 1.0)
-            readouts = 2.0 * rng.binomial(shots, p) / shots - 1.0
+            if isinstance(rng, list):
+                counts = np.empty_like(p)
+                for j, generator in zip(range(p.shape[-2]), rng, strict=True):
+                    counts[..., j, :] = generator.binomial(shots, p[..., j, :])
+            else:
+                counts = (np.random.default_rng() if rng is None else rng).binomial(shots, p)
+            readouts = 2.0 * counts / shots - 1.0
         weighted = self._weights * readouts
-        denominator = self._norm2 + float(weighted[: self._beta_count].sum())
-        if denominator < 1e-12:
+        denominator = self._norm2 + weighted[..., : self._beta_count].sum(-1)
+        if denominator.min() < 1e-12:
             raise DegenerateStateError(
                 "norm of A|x(theta)> is numerically zero; cost undefined"
             )
-        numerator = float(weighted[self._beta_count :].sum())
+        numerator = weighted[..., self._beta_count :].sum(-1)
         value = 0.5 - numerator / (2.0 * self.num_qubits * denominator)
         return CostBreakdown(value=value, readouts=readouts)
 
@@ -491,31 +508,54 @@ def solve(
     shots: int | None = None,
     seed: int = 0,
 ) -> SolveRecord:
-    """Run the full pipeline for one seed.
+    """Run the full pipeline for one seed: the one-member ensemble
+    `run_ensemble(spec, ansatz, spsa_cfg, shots, base_seed=seed,
+    ensemble_size=1)[0]`."""
+    return run_ensemble(spec, ansatz, spsa_cfg, shots, base_seed=seed, ensemble_size=1)[0]
 
-    Builds the block system, expands the reduced operator into Pauli
-    strings, and drives the local cost with SPSA from a uniformly random
-    starting vector in [0, 2 pi)^P: the closed form when shots is None,
-    else the sampled term sum on the ansatz amplitudes, one binomial draw
-    per full_sym circuit. Each iteration's two points come from one
-    `ansatz_amplitudes` call on their (2, P) stack and are costed row by
-    row, + then -, which gives the bits of two single-theta evaluations.
-    A run that hits the iteration cap is returned with converged=False
-    rather than raised.
 
-    The SPSA callback only records theta_k. After the run the whole
-    solution trace, (iterations + 1, n_t - 1, n), comes from one batched
-    `ansatz_amplitudes` call and one `rescale_solution` call, and
-    u_fields is its last row; a degenerate state at any theta_k raises
+def run_ensemble(
+    spec: problem.ProblemSpec,
+    ansatz: AnsatzConfig | None = None,
+    spsa_cfg: spsa.SpsaConfig | None = None,
+    shots: int | None = None,
+    base_seed: int = 0,
+    ensemble_size: int = 24,
+    workers: int = 1,
+) -> list[SolveRecord]:
+    """Independent seeded runs, stepped in lockstep in one process; member
+    i uses seed base_seed + i, and its record equals that of the member
+    run alone.
+
+    Builds the block system, decomposition, evaluator and classical
+    reference once, then drives every member's local cost with
+    `spsa.run_lockstep` from a uniformly random start in [0, 2 pi)^P: the
+    closed form when shots is None, else the sampled term sum, one
+    binomial draw per full_sym circuit. Each iteration costs the (2, m, P)
+    point stack of the m members still running with one
+    `ansatz_amplitudes` call and one cost call. A member that hits the
+    iteration cap is returned with converged=False. After the run every
+    member's solution trace, (iterations + 1, n_t - 1, n), comes from one
+    `ansatz_amplitudes` call and one `rescale_solution` call; u_fields is
+    its last row, and a degenerate state at any theta_k raises
     `DegenerateStateError` there.
 
-    The starting vector and the SPSA perturbations come from
-    `default_rng(seed)`; shot noise comes from a stream spawned from
-    `SeedSequence(seed)`, so the sampler never shifts the perturbations.
+    Member i draws its start and SPSA perturbations from
+    `default_rng(base_seed + i)`, and its shot noise, one binomial call per
+    iteration, from a stream spawned from `SeedSequence(base_seed + i)`,
+    so the sampler never shifts the perturbations.
 
     Without an ansatz the register comes from the spec (`ansatz_for`);
-    without a config, SPSA runs with `DEFAULT_SPSA`.
+    without a config, SPSA runs with `DEFAULT_SPSA`. `workers` is
+    accepted only at 1: every member runs in this process.
     """
+    if workers != 1:
+        raise ValueError(
+            f"workers must be 1, got {workers!r}: ensemble members now run "
+            "in lockstep in one process"
+        )
+    if ensemble_size < 1:
+        raise ValueError("ensemble_size must be >= 1")
     if shots is not None:
         _check_shots(shots)
     if ansatz is None:
@@ -531,81 +571,63 @@ def solve(
         )
     decomposition = pauli.decompose(system.a_reduced)
     evaluator = CostEvaluator(decomposition, ansatz, _b_preparation(system))
-    rng = np.random.default_rng(seed)
-    theta_init = rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params)
+    seeds = [base_seed + i for i in range(ensemble_size)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    theta_init = np.array([rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params) for rng in rngs])
 
     if shots is None:
-        state_cost = evaluator.dense_cost
+        def cost(points, _members):
+            return evaluator.dense_cost(ansatz_amplitudes(ansatz, points))
     else:
-        shot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        shot_rngs = [
+            np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]) for seed in seeds
+        ]
 
-        def state_cost(x):
-            return evaluator.local_cost_of_state(x, shots, shot_rng).value
+        def cost(points, members):
+            generators = [shot_rngs[i] for i in members]
+            return evaluator.local_cost_of_state(
+                ansatz_amplitudes(ansatz, points), shots, generators
+            ).value
 
-    # each row of a batch is byte-equal to its single-theta call, so one
-    # kernel call serves both SPSA points; the rows are costed + then -
-    def pair_cost(points):
-        return [state_cost(x) for x in ansatz_amplitudes(ansatz, points)]
-
-    thetas: list[np.ndarray] = []
-    result = spsa.run(
-        theta_init, lambda theta: state_cost(ansatz_amplitudes(ansatz, theta)), spsa_cfg,
-        rng=rng, callback=lambda _k, theta, _cost: thetas.append(theta), pair_cost=pair_cost,
+    history: list[tuple[np.ndarray, np.ndarray]] = []   # (theta_k, members) per k
+    results = spsa.run_lockstep(
+        theta_init, cost, spsa_cfg, rngs,
+        callback=lambda _k, theta, _costs, members: history.append((theta, members)),
     )
 
-    # the batch kernels reproduce each row's single-theta bits, so the
-    # last row is the fields of theta_final
-    solution_trace = rescale_solution(ansatz_amplitudes(ansatz, np.array(thetas)), system)
-    u_fields = solution_trace[-1].copy()
+    # every member's theta_0 .. theta_final, member by member in iteration
+    # order, in one kernel call
+    owner = np.concatenate([members for _, members in history])
+    thetas = np.concatenate([theta for theta, _ in history])[np.argsort(owner, kind="stable")]
+    fields = rescale_solution(ansatz_amplitudes(ansatz, thetas), system)
+    traces = np.split(fields, np.cumsum([r.iterations + 1 for r in results])[:-1])
     classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
-    rmse_per_time = [
-        {
-            "t": (k + 1) * spec.dt,
-            "rmse": problem.rmse(u_fields[k], classical[k]),
-            "relative": problem.relative_error(u_fields[k], classical[k]),
-        }
-        for k in range(spec.n_t - 1)
-    ]
-    return SolveRecord(
-        theta_final=result.theta,
-        cost_trace=result.cost_trace,
-        solution_trace=solution_trace,
-        u_fields=u_fields,
-        rmse_per_time=rmse_per_time,
-        iterations=result.iterations,
-        seed=seed,
-        shots=shots,
-        converged=result.converged,
-        circuits_per_evaluation=circuit_count(
-            ansatz.num_qubits, decomposition.term_count, "full_sym"
-        ),
-        cost_evaluations=1 + 2 * result.iterations,
-    )
-
-
-def _solve_job(args) -> SolveRecord:
-    return solve(*args)
-
-
-def run_ensemble(
-    spec: problem.ProblemSpec,
-    ansatz: AnsatzConfig | None = None,
-    spsa_cfg: spsa.SpsaConfig | None = None,
-    shots: int | None = None,
-    base_seed: int = 0,
-    ensemble_size: int = 24,
-    workers: int = 1,
-) -> list[SolveRecord]:
-    """Independent seeded runs; member i uses seed base_seed + i."""
-    if ensemble_size < 1:
-        raise ValueError("ensemble_size must be >= 1")
-    if ansatz is None:
-        ansatz = ansatz_for(spec)
-    jobs = [(spec, ansatz, spsa_cfg, shots, base_seed + i) for i in range(ensemble_size)]
-    if workers <= 1:
-        return [solve(*job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_solve_job, jobs))
+    circuits = circuit_count(ansatz.num_qubits, decomposition.term_count, "full_sym")
+    records = []
+    for seed, result, solution_trace in zip(seeds, results, traces):
+        u_fields = solution_trace[-1].copy()
+        rmse_per_time = [
+            {
+                "t": (k + 1) * spec.dt,
+                "rmse": problem.rmse(u_fields[k], classical[k]),
+                "relative": problem.relative_error(u_fields[k], classical[k]),
+            }
+            for k in range(spec.n_t - 1)
+        ]
+        records.append(SolveRecord(
+            theta_final=result.theta,
+            cost_trace=result.cost_trace,
+            solution_trace=solution_trace,
+            u_fields=u_fields,
+            rmse_per_time=rmse_per_time,
+            iterations=result.iterations,
+            seed=seed,
+            shots=shots,
+            converged=result.converged,
+            circuits_per_evaluation=circuits,
+            cost_evaluations=1 + 2 * result.iterations,
+        ))
+    return records
 
 
 def ensemble_mean_fields(records: list[SolveRecord]) -> np.ndarray:

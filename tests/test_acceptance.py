@@ -13,7 +13,6 @@ from advqls import pauli, problem, resources, sim, spsa, vqls
 
 SPEC = problem.ProblemSpec()
 ANSATZ = vqls.AnsatzConfig(num_qubits=3, units=4)
-WORKERS = 2
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -27,7 +26,7 @@ def exact_ensemble():
     cfg = spsa.SpsaConfig(max_iter=200, stop_rule="none")
     return vqls.run_ensemble(
         SPEC, ansatz=ANSATZ, spsa_cfg=cfg, shots=None,
-        base_seed=0, ensemble_size=24, workers=WORKERS,
+        base_seed=0, ensemble_size=24,
     )
 
 
@@ -37,7 +36,7 @@ def sampled_ensemble():
     cfg = spsa.SpsaConfig(max_iter=200, stop_rule="threshold")
     return vqls.run_ensemble(
         SPEC, ansatz=ANSATZ, spsa_cfg=cfg, shots=8192,
-        base_seed=0, ensemble_size=24, workers=WORKERS,
+        base_seed=0, ensemble_size=24,
     )
 
 

@@ -247,6 +247,20 @@ class TestDecomposeCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert "message" in err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1e-3"])
+    def test_invalid_prune_eps_fails_before_writing(self, tmp_path, capsys, eps):
+        matrix_path = tmp_path / "matrix.csv"
+        np.savetxt(matrix_path, np.eye(4), delimiter=",")
+        out = tmp_path / "out"
+        argv = ["decompose", "--matrix", str(matrix_path), "--out", str(out), f"--prune-eps={eps}"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert "prune_eps must be a finite real number >= 0" in parsed["message"]
+        assert not out.exists()
+
 
 class TestCircuitsCommand:
     def test_sweep_output(self, tmp_path):
@@ -308,7 +322,7 @@ class TestErrorContract:
         "config_overrides, flags, message",
         [
             ({"workers": 0}, [], "workers"),
-            ({}, ["--workers", "0"], "workers"),
+            ({"workers": 2}, [], "workers"),
             ({}, ["--ensemble", "0"], "ensemble_size"),
             ({"shots": 0}, [], "shots"),
             ({"shots": "many"}, [], "shots"),

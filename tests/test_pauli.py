@@ -87,6 +87,11 @@ class TestDecompose:
         assert decompose(a, prune_eps=1e-6).labels == ["II"]
         assert decompose(a, prune_eps=1e-12).labels == ["II", "XY"]
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3, "1e-12", True])
+    def test_invalid_prune_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="prune_eps"):
+            decompose(np.eye(4), prune_eps=eps)
+
     def test_zero_matrix(self):
         assert decompose(np.zeros((4, 4)), prune_eps=0.0).term_count == 0
 

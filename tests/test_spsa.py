@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advqls.spsa import SpsaConfig, gains, run, step
+from advqls.spsa import SpsaConfig, gains, run, run_lockstep, step
 
 
 class TestGains:
@@ -183,65 +183,124 @@ class TestRun:
 
 
 def _cosine_bowl(p):
-    """Scalar and pair forms of mean(1 - cos(theta - phi)); each row of the
-    pair form is byte-equal to the scalar call."""
+    """Scalar and batched forms of mean(1 - cos(theta - phi)); each row of
+    the batched form is byte-equal to the scalar call."""
     phi = np.random.default_rng(p).uniform(0.0, 2.0 * np.pi, p)
 
     def cost(theta):
         return float((1.0 - np.cos(theta - phi)).mean())
 
-    def pair_cost(points):
+    def batch_cost(points, _rows):
         return (1.0 - np.cos(points - phi)).mean(-1)
 
-    return cost, pair_cost
+    return cost, batch_cost
+
+
+def step_loop(theta, cost, cfg, rng):
+    """Oracle: public `step` calls from theta until cfg's stopping rule fires."""
+    trace = [float(cost(theta))]
+    streak = 0
+    for k in range(cfg.max_iter):
+        theta, estimate = step(theta, cost, k, cfg, rng)
+        trace.append(float(estimate))
+        if cfg.stop_rule == "diff":
+            within = abs(trace[-1] - trace[-2]) < cfg.tol
+        else:
+            within = cfg.stop_rule == "threshold" and trace[-1] < cfg.tol
+        streak = streak + 1 if within else 0
+        if streak >= cfg.patience:
+            return theta, trace, True
+    return theta, trace, False
 
 
 class TestPairCost:
+    """The lockstep loop hands each iteration's points to its cost as one
+    (2, m, P) stack, theta + c_k Delta over theta - c_k Delta."""
+
     @pytest.mark.parametrize("p", [5, 12])
     @pytest.mark.parametrize("rule, tol", [("none", 1e-2), ("diff", 1e-3), ("threshold", 1e-2)])
     def test_pair_cost_matches_scalar_calls(self, p, rule, tol):
-        # 130 iterations cross two 64-row Delta blocks
-        cost, pair_cost = _cosine_bowl(p)
+        # four vectors in lockstep against a loop of `step` calls each, and
+        # `run` (the one-vector case) too; 130 iterations cross two 64-row
+        # Delta blocks
+        cost, batch_cost = _cosine_bowl(p)
         cfg = SpsaConfig(max_iter=130, stop_rule=rule, tol=tol)
-        scalar = run(np.zeros(p), cost, cfg, rng=np.random.default_rng(3))
+        starts = np.random.default_rng(p).uniform(0.0, 2.0 * np.pi, (4, p))
         shapes = []
 
-        def recording(points):
+        def recording(points, rows):
             shapes.append(points.shape)
-            return pair_cost(points)
+            return batch_cost(points, rows)
 
-        paired = run(np.zeros(p), cost, cfg, rng=np.random.default_rng(3), pair_cost=recording)
-        assert np.array(paired.cost_trace).tobytes() == np.array(scalar.cost_trace).tobytes()
-        assert paired.theta.tobytes() == scalar.theta.tobytes()
-        assert paired.converged == scalar.converged
-        assert shapes == [(2, p)] * scalar.iterations
+        results = run_lockstep(starts, recording, cfg, [np.random.default_rng(3 + i) for i in range(4)])
+        iterations = []
+        for i, result in enumerate(results):
+            theta, trace, converged = step_loop(starts[i], cost, cfg, np.random.default_rng(3 + i))
+            single = run(starts[i], cost, cfg, rng=np.random.default_rng(3 + i))
+            for got in (result, single):
+                assert np.array(got.cost_trace).tobytes() == np.array(trace).tobytes()
+                assert got.theta.tobytes() == theta.tobytes()
+                assert got.converged == converged
+            iterations.append(result.iterations)
+        running = [sum(n > k for n in iterations) for k in range(max(iterations))]
+        assert shapes == [(4, p)] + [(2, m, p) for m in running]
         if rule == "none":
-            assert scalar.iterations == 130
+            assert iterations == [130] * 4
+        else:
+            assert len(set(iterations)) > 1
 
     @pytest.mark.parametrize("p", [5, 9, 12, 16])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_block_draws_replay_per_step_draws(self, p, seed):
-        # the points of iteration k are theta_k +/- c_k Delta_k with Delta_k
-        # the k-th per-step draw of default_rng(seed), across block borders
+        # the points of vector i at iteration k are theta_k +/- c_k Delta_k
+        # with Delta_k the k-th per-step draw of default_rng(seed + i),
+        # across block borders
         cfg = SpsaConfig(max_iter=130, stop_rule="none")
-        cost, pair_cost = _cosine_bowl(p)
+        _, batch_cost = _cosine_bowl(p)
         thetas, points = [], []
 
-        def recording(x):
+        def recording(x, rows):
             points.append(x.copy())
-            return pair_cost(x)
+            return batch_cost(x, rows)
 
-        run(
-            np.zeros(p), cost, cfg, rng=np.random.default_rng(seed),
-            callback=lambda _k, theta, _cost: thetas.append(theta), pair_cost=recording,
+        run_lockstep(
+            np.zeros((2, p)), recording, cfg, [np.random.default_rng(seed + i) for i in range(2)],
+            callback=lambda _k, theta, _costs, _rows: thetas.append(theta),
         )
-        replay = np.random.default_rng(seed)
-        assert len(points) == 130
-        for k, x in enumerate(points):
-            _, c_k = gains(k, cfg)
-            delta = replay.integers(0, 2, p) * 2 - 1
-            expected = np.stack((thetas[k] + c_k * delta, thetas[k] - c_k * delta))
-            assert x.tobytes() == expected.tobytes()
+        assert len(points) == 1 + 130
+        for i in range(2):
+            replay = np.random.default_rng(seed + i)
+            for k, x in enumerate(points[1:]):
+                _, c_k = gains(k, cfg)
+                delta = replay.integers(0, 2, p) * 2 - 1
+                expected = np.stack((thetas[k][i] + c_k * delta, thetas[k][i] - c_k * delta))
+                assert x[:, i].tobytes() == expected.tobytes()
+
+    def test_callback_sees_running_rows(self):
+        # rows whose rule fired leave the stack after their last callback
+        cfg = SpsaConfig(max_iter=10, stop_rule="threshold", tol=0.5, patience=2)
+        seen = []
+
+        def cost(points, rows):
+            return np.broadcast_to(rows * 1.0, points.shape[:-1])
+
+        results = run_lockstep(
+            np.zeros((3, 2)), cost, cfg, [np.random.default_rng(i) for i in range(3)],
+            callback=lambda k, theta, costs, rows: seen.append((k, theta.shape, costs, rows.tolist())),
+        )
+        assert [r.iterations for r in results] == [2, 10, 10]
+        assert [r.converged for r in results] == [True, False, False]
+        assert seen[:3] == [
+            (0, (3, 2), [0.0, 1.0, 2.0], [0, 1, 2]),
+            (1, (3, 2), [0.0, 1.0, 2.0], [0, 1, 2]),
+            (2, (3, 2), [0.0, 1.0, 2.0], [0, 1, 2]),
+        ]
+        assert seen[3] == (3, (2, 2), [1.0, 2.0], [1, 2])
+        assert len(seen) == 11
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="generators"):
+            run_lockstep(np.zeros((2, 3)), lambda x, r: x.sum(-1), SpsaConfig(), [np.random.default_rng()])
 
 
 class TestConfigValidation:

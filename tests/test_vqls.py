@@ -189,7 +189,8 @@ class RecordingGenerator:
 
 
 class StateAtDraws:
-    """A real Generator that notes its state before every `integers` draw."""
+    """A real Generator that notes its state before every `integers` draw,
+    and the draw."""
 
     def __init__(self, seed, seen, default_rng=np.random.default_rng):
         self.rng = default_rng(seed)
@@ -200,7 +201,8 @@ class StateAtDraws:
 
     def integers(self, *args, **kwargs):
         self.seen.append(json.dumps(self.rng.bit_generator.state, sort_keys=True))
-        return self.rng.integers(*args, **kwargs)
+        self.seen.append(self.rng.integers(*args, **kwargs))
+        return self.seen[-1]
 
 
 def hadamard_test_p0(x, phase, p_l, p_lp, u=None, z=None):
@@ -244,6 +246,8 @@ class TestSampledStrings:
 
     @pytest.mark.parametrize("n, n_t, circuits", [(4, 3, 105), (16, 3, 1925)])
     def test_one_binomial_draw_per_circuit(self, monkeypatch, n, n_t, circuits):
+        # one draw per circuit and evaluation, made as one binomial call per
+        # iteration: theta_0, then the iteration's two points at once
         spec = problem.ProblemSpec(n=n, n_t=n_t)
         generators = []
 
@@ -255,10 +259,11 @@ class TestSampledStrings:
         record = solve(spec, spsa_cfg=spsa.SpsaConfig(max_iter=2, stop_rule="none"), shots=8192)
         draws = [draw for g in generators for draw in g.draws]
         assert record.circuits_per_evaluation == circuits
-        assert len(draws) == record.cost_evaluations == 5
+        assert record.cost_evaluations == 5
+        assert [p.shape for _, p, _ in draws] == [(circuits,), (2, circuits), (2, circuits)]
         for shots, p, counts in draws:
             assert shots == 8192
-            assert p.shape == counts.shape == (circuits,)
+            assert p.shape == counts.shape
 
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5)])
     def test_circuits_match_dense_hadamard_tests(self, n, n_t):
@@ -526,8 +531,9 @@ class TestSolve:
         assert calls == [SYSTEM.a_reduced.shape]
 
     def test_trace_built_in_one_batched_call(self, monkeypatch):
-        # one state for theta_0, one (2, P) batch per SPSA iteration and one
-        # batch for the whole trace; two calls per iteration would make 12
+        # one state per starting vector, one (2, m, P) batch per SPSA
+        # iteration and one batch for every member's whole trace; two calls
+        # per iteration would make 12 for one member
         shapes = []
         amplitudes = vqls.ansatz_amplitudes
 
@@ -536,39 +542,62 @@ class TestSolve:
             return amplitudes(cfg, theta)
 
         monkeypatch.setattr(vqls, "ansatz_amplitudes", counting)
-        rec = solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=5, stop_rule="none"), seed=0)
-        monkeypatch.undo()
-        assert shapes == [(12,)] + [(2, 12)] * rec.iterations + [(rec.iterations + 1, 12)]
+        cfg = spsa.SpsaConfig(max_iter=5, stop_rule="none")
+        rec = solve(SPEC, spsa_cfg=cfg, seed=0)
+        assert shapes == [(1, 12)] + [(2, 1, 12)] * rec.iterations + [(rec.iterations + 1, 12)]
         assert len(shapes) == 7
+        shapes.clear()
+        records = run_ensemble(SPEC, spsa_cfg=cfg, ensemble_size=3)
+        monkeypatch.undo()
+        assert shapes == [(3, 12)] + [(2, 3, 12)] * 5 + [(18, 12)]
         assert rec.u_fields.tobytes() == extract_solution(rec.theta_final, SYSTEM, ANSATZ).tobytes()
+        for member in records:
+            assert member.solution_trace.shape == (6, 2, 4)
+            assert member.u_fields.tobytes() == extract_solution(member.theta_final, SYSTEM, ANSATZ).tobytes()
 
     @pytest.mark.parametrize("n, n_t", [(4, 3), (16, 3)])
     @pytest.mark.parametrize("shots", [None, 8192])
     def test_matches_loop_of_scalar_steps(self, n, n_t, shots):
         # oracle: the public one-step update on scalar cost functions, one
-        # kernel call per point; 70 iterations cross a Delta block border
+        # kernel call per point, for every member of a 4-member ensemble;
+        # 70 iterations cross a Delta block border, and under the threshold
+        # and diff rules members stop at different iterations
         spec = problem.ProblemSpec(n=n, n_t=n_t)
-        cfg = spsa.SpsaConfig(max_iter=70, stop_rule="none")
+        threshold = {(4, 3): 0.1, (16, 3): 0.4}[n, n_t]
         ev, ansatz = _spec_evaluator(n, n_t)
-        seed = 5
-        rng = np.random.default_rng(seed)
-        theta = rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params)
-        if shots is None:
-            def cost(t):
-                return ev.dense_cost(ansatz_amplitudes(ansatz, t))
-        else:
-            shot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        base_seed = 5
+        for rule, tol in (("none", 2e-2), ("threshold", threshold), ("diff", 2e-2)):
+            cfg = spsa.SpsaConfig(max_iter=70, stop_rule=rule, tol=tol)
+            records = run_ensemble(spec, spsa_cfg=cfg, shots=shots, base_seed=base_seed, ensemble_size=4)
+            for i, rec in enumerate(records):
+                rng = np.random.default_rng(base_seed + i)
+                theta = rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params)
+                if shots is None:
+                    def cost(t):
+                        return ev.dense_cost(ansatz_amplitudes(ansatz, t))
+                else:
+                    seq = np.random.SeedSequence(base_seed + i).spawn(1)[0]
+                    shot_rng = np.random.default_rng(seq)
 
-            def cost(t):
-                return ev.local_cost_of_state(ansatz_amplitudes(ansatz, t), shots, shot_rng).value
+                    def cost(t):
+                        return ev.local_cost_of_state(ansatz_amplitudes(ansatz, t), shots, shot_rng).value
 
-        trace = [cost(theta)]
-        for k in range(cfg.max_iter):
-            theta, estimate = spsa.step(theta, cost, k, cfg, rng)
-            trace.append(float(estimate))
-        rec = solve(spec, spsa_cfg=cfg, shots=shots, seed=seed)
-        assert rec.theta_final.tobytes() == theta.tobytes()
-        assert np.array(rec.cost_trace).tobytes() == np.array(trace).tobytes()
+                trace = [cost(theta)]
+                streak = 0
+                for k in range(cfg.max_iter):
+                    theta, estimate = spsa.step(theta, cost, k, cfg, rng)
+                    trace.append(float(estimate))
+                    if rule == "threshold":
+                        streak = streak + 1 if trace[-1] < tol else 0
+                    elif rule == "diff":
+                        streak = streak + 1 if abs(trace[-1] - trace[-2]) < tol else 0
+                    if streak >= cfg.patience:
+                        break
+                assert rec.theta_final.tobytes() == theta.tobytes()
+                assert np.array(rec.cost_trace).tobytes() == np.array(trace).tobytes()
+                assert rec.converged == (streak >= cfg.patience)
+            iterations = {rec.iterations for rec in records}
+            assert iterations == {70} if rule == "none" else len(iterations) > 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -614,42 +643,40 @@ class TestSolve:
         # theta_init and the SPSA perturbations share one stream, shot noise
         # has its own, so the stream SPSA sees is the same with or without
         # shots: the generator state at every block draw of Delta and the
-        # Delta row of every iteration
-        advance = spsa._advance
-
+        # block it draws
         def run(shots):
             seen = []
-
-            def recording_advance(theta, pair_cost, k, cfg, delta):
-                seen.append(delta.tobytes())
-                return advance(theta, pair_cost, k, cfg, delta)
 
             def recording_rng(seed=None):
                 return StateAtDraws(seed, seen)
 
-            monkeypatch.setattr(spsa, "_advance", recording_advance)
             monkeypatch.setattr(np.random, "default_rng", recording_rng)
             solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=5, stop_rule="none"), shots=shots, seed=4)
             monkeypatch.undo()
             return seen
 
         exact = run(None)
-        assert len(exact) == 1 + 5
-        assert run(8192) == exact
+        assert len(exact) == 2 and exact[1].shape == (5, 12)
+        sampled = run(8192)
+        assert sampled[0] == exact[0]
+        assert sampled[1].tobytes() == exact[1].tobytes()
 
     def test_run_ensemble_parallel_matches_serial(self):
-        cfg = spsa.SpsaConfig(max_iter=3, stop_rule="none")
+        # member i of a 24-member lockstep ensemble is byte-equal to the
+        # one-member run with seed base_seed + i, under the threshold rule,
+        # where members stop at different iterations
+        cfg = spsa.SpsaConfig(max_iter=200, stop_rule="threshold")
 
-        def record_bytes(workers, shots):
-            records = run_ensemble(
-                SPEC, spsa_cfg=cfg, shots=shots, base_seed=0, ensemble_size=2, workers=workers
-            )
+        def record_bytes(records):
             return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
 
         for shots in (None, 8192):
-            serial = record_bytes(1, shots)
-            assert record_bytes(1, shots) == serial
-            assert record_bytes(2, shots) == serial
+            records = run_ensemble(SPEC, spsa_cfg=cfg, shots=shots, base_seed=3, ensemble_size=24)
+            assert len({r.iterations for r in records}) > 1
+            alone = [solve(SPEC, spsa_cfg=cfg, shots=shots, seed=3 + i) for i in range(24)]
+            assert record_bytes(records) == record_bytes(alone)
+        with pytest.raises(ValueError, match="one process"):
+            run_ensemble(SPEC, spsa_cfg=cfg, ensemble_size=2, workers=2)
 
     def test_records_do_not_depend_on_blas_threads(self):
         # OpenBLAS reads its thread count at load, so each count needs its
