@@ -62,8 +62,12 @@ class RunConfig:
             raise ValueError(f"classical_only must be true or false, got {self.classical_only!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
-        if self.shots is not None and not _is_int_at_least(self.shots, 1):
-            raise ValueError(f"shots must be an integer >= 1, null or 'exact', got {self.shots!r}")
+        if self.shots is not None and not (
+            _is_int_at_least(self.shots, 1) and self.shots <= vqls.MAX_SHOTS
+        ):
+            raise ValueError(
+                f"shots must be an integer in [1, 2**63 - 1], null or 'exact', got {self.shots!r}"
+            )
         known = {f.name for f in dataclasses.fields(spsa.SpsaConfig)}
         unknown = set(self.spsa_overrides) - known
         if unknown:
@@ -77,6 +81,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                "config must be a JSON object of RunConfig fields, got "
+                + json.dumps(data, default=repr)
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

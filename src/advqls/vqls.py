@@ -25,12 +25,18 @@ cost is a ratio of two linear forms in these readouts,
 
 with w_c = |c_l c_l'|, doubled when l != l'.
 
-The term sum (`CostEvaluator.local_cost_of_state`) evaluates that form.
-Exact, its readouts come from dense products of the Pauli matrices with
-the state, and it is the independent oracle for the closed form below.
-Sampled, it runs the paper's Hadamard tests: each readout is
-2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
-evaluation draws all of them in one call.
+The term sum (`CostEvaluator.local_cost_of_state`) evaluates that form
+in real arithmetic. Every Pauli string is P_l = i^{nY_l} S_l, with nY_l
+its count of Y and S_l a real signed permutation, and the ansatz state
+x is real. So with Y = [S_l x]_l every constituent family is one real
+Gram product G = (Y K) Y^T, over K = I for beta and Re, Im of
+U Z_q U^dag for delta_q (Im only when U is complex), and circuit c reads
+r_c = Re(f_c) G_re - Im(f_c) G_im with f_c = e^{i phi} i^{nY_l' - nY_l}
+fixed per evaluator. Exact, the term sum is the independent oracle for
+the closed form below. Sampled, it runs the paper's Hadamard tests: each
+readout is 2k/shots - 1 from one binomial draw of `shots` ancilla
+outcomes, and one evaluation draws all of them in one call from a
+seeded generator the caller passes.
 
 Exact mode (`run_ensemble` with shots=None) evaluates the cost in closed form.
 The ansatz is real, so the cost is a ratio of two real quadratic forms,
@@ -77,6 +83,7 @@ __all__ = [
     "ansatz_state",
     "circuit_count",
     "MAX_SUBMITTABLE_CIRCUITS",
+    "MAX_SHOTS",
     "rescale_solution",
     "extract_solution",
     "solve",
@@ -235,9 +242,45 @@ def _z_signs(num_qubits: int, q: int) -> np.ndarray:
     return 1.0 - 2.0 * ((idx >> (num_qubits - 1 - q)) & 1)
 
 
+# i^k for k = 0..3
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+@lru_cache(maxsize=64)
+def _signed_permutations(labels: tuple[str, ...], num_qubits: int):
+    """Each Pauli string as i^{nY} times a real signed permutation
+    (read-only, cached).
+
+    (P_l x)[i] = i^{nY_l} sign[l, i] x[perm[l, i]] with perm[l, i] =
+    i ^ flip_l, where flip_l sets the bits of the X and Y qubits of label
+    l, and sign[l, i] is -1 for an odd count of Z qubits with i_q = 1 and
+    Y qubits with i_q = 0 (Y = i [[0, -1], [1, 0]]). Returns (L, 2**Q)
+    perm and sign tables and the (L,) counts nY.
+    """
+    chars = np.array([list(label) for label in labels]).reshape(len(labels), num_qubits)
+    shifts = num_qubits - 1 - np.arange(num_qubits)
+    bits = (np.arange(2**num_qubits) >> shifts[:, None]) & 1
+    is_y = chars == "Y"
+    flips = ((chars == "X") | is_y) @ (1 << shifts)
+    perm = np.arange(2**num_qubits) ^ flips[:, None]
+    sign = 1.0 - 2.0 * (((chars == "Z") @ bits + is_y @ (1 - bits)) & 1)
+    n_y = is_y.sum(1)
+    for table in (perm, sign, n_y):
+        table.setflags(write=False)
+    return perm, sign, n_y
+
+
+# `Generator.binomial` takes shot counts as int64
+MAX_SHOTS = 2**63 - 1
+
+
 def _check_shots(shots) -> None:
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    if (
+        isinstance(shots, bool)
+        or not isinstance(shots, (int, np.integer))
+        or not 1 <= shots <= MAX_SHOTS
+    ):
+        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
 
 
 class CostEvaluator:
@@ -272,30 +315,42 @@ class CostEvaluator:
         if np.abs(u.conj().T @ u - np.eye(dim)).max() > 1e-10:
             raise ValueError("b-prep operator is not unitary")
         self.u = u
-        self._u_dag = u.conj().T
         self.num_qubits = nq
-        self._z = np.array([_z_signs(nq, q) for q in range(nq)])
-        self._paulis = np.stack([pauli.label_matrix(l) for l in self.labels])
+        z = np.array([_z_signs(nq, q) for q in range(nq)])
         # Closed form of the exact cost for real x: the imaginary parts of
         # these Hermitian matrices are antisymmetric and cancel in x^T M x.
         a = pauli.reconstruct(decomposition)
-        local = u @ np.diag(0.5 - sum(self._z) / (2.0 * nq)) @ self._u_dag
+        local = u @ np.diag(0.5 - sum(z) / (2.0 * nq)) @ u.conj().T
         self._h = np.real(a.conj().T @ local @ a)
         self._g = np.real(a.conj().T @ a)
-        # One Hadamard test per full_sym circuit, named by its flat index
-        # into the (1 + Q, L, L) constituents (beta for l < l', delta_q for
-        # l <= l'), with the phase of c_l* c_l' on its ancilla and the
-        # weight w_c of its readout in the linear forms (see module doc).
+        # One Hadamard test per full_sym circuit: beta for l < l', then
+        # delta_q for l <= l', each with the weight w_c of its readout in
+        # the linear forms (see module doc).
         n_terms = self.term_count
         c = self.coefficients
         ones = np.ones((n_terms, n_terms), dtype=bool)
-        self._circuits = np.flatnonzero(np.stack([np.triu(ones, 1)] + [np.triu(ones)] * nq))
-        _, row, col = np.unravel_index(self._circuits, (1 + nq, n_terms, n_terms))
+        circuits = np.flatnonzero(np.stack([np.triu(ones, 1)] + [np.triu(ones)] * nq))
+        family, row, col = np.unravel_index(circuits, (1 + nq, n_terms, n_terms))
         self._beta_count = n_terms * (n_terms - 1) // 2
         self._weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
         self._norm2 = float(np.sum(np.abs(c) ** 2))
+        # Real form of the readouts (see `local_cost_of_state`): circuit c
+        # reads the entries (l, family, l') of the (L, F, L) Gram products.
+        self._perm, self._sign, n_y = _signed_permutations(tuple(self.labels), nq)
+        identity = np.eye(dim)[None]
+        if u.imag.any():
+            k = np.concatenate((identity, (u * z[:, None, :]) @ u.conj().T))
+            k = np.concatenate((k.real, k.imag))
+        else:
+            k = np.concatenate((identity, (u.real * z[:, None, :]) @ u.real.T))
+        self._k = k.transpose(1, 0, 2).reshape(dim, -1)
         phase = np.exp(1j * np.angle(np.outer(c.conj(), c)))
-        self._phases = np.broadcast_to(phase, (1 + nq, *ones.shape)).take(self._circuits)
+        f = (phase * _I_POWERS[(n_y - n_y[:, None]) % 4])[row, col]
+        self._f_re, self._f_im = f.real, f.imag
+        self._re_circuits = (row * len(k) + family) * n_terms + col
+        self._im_circuits = None
+        if len(k) > 1 + nq:
+            self._im_circuits = self._re_circuits + (1 + nq) * n_terms
 
     @property
     def term_count(self) -> int:
@@ -320,11 +375,15 @@ class CostEvaluator:
     def local_cost_of_state(self, amplitudes, shots=None, rng=None) -> CostBreakdown:
         """The cost as a linear form in the full_sym readouts (exact or shot-sampled).
 
-        With x = `amplitudes`, V = [P_l x]_l and W = U^dag V, the dense
-        products beta = V^dag V and delta_q = W^dag diag(z_q) W hold every
-        constituent. Circuit c, one beta_ll' with l < l' or delta_ll'^q
-        with l <= l' in that order, reads r_c = Re(e^{i phi} constituent)
-        with e^{i phi} = c_l* c_l' / |c_l c_l'| on its ancilla.
+        With x = `amplitudes` and Y = [S_l x]_l (see module doc), the
+        constituents are beta = i^{nY_l' - nY_l} Y Y^T and delta_q =
+        i^{nY_l' - nY_l} Y (Re M_q + i Im M_q) Y^T with M_q = U Z_q U^dag,
+        so one real Gram product G = (Y K) Y^T over the side-by-side stack
+        K = [I, Re M_q...] (then [0, Im M_q...] when U is complex) holds
+        them all. Circuit c, one beta_ll' with l < l' or delta_ll'^q with
+        l <= l' in that order, has e^{i phi} = c_l* c_l' / |c_l c_l'| on
+        its ancilla and reads r_c = Re(f_c) G_re - Im(f_c) G_im with
+        f_c = e^{i phi} i^{nY_l' - nY_l}.
 
         Shot mode gives every circuit `shots` ancilla outcomes,
         k ~ Binomial(shots, (1 + r) / 2), all drawn in one call, and
@@ -335,25 +394,39 @@ class CostEvaluator:
         (..., C) readouts, and one `rng.binomial` call draws every row. In
         place of `rng` a list may hold one generator per row of axis -2
         (the members of a lockstep ensemble); generator j then draws the
-        rows [..., j, :] in one call.
+        rows [..., j, :] in one call. Shot mode needs `rng`: there is no
+        unseeded fallback. Complex amplitudes are accepted only with a
+        zero imaginary part.
         """
-        v = (self._paulis @ np.asarray(amplitudes)[..., None, :, None])[..., 0].swapaxes(-1, -2)
-        w = self._u_dag @ v
-        beta = v.conj().swapaxes(-1, -2) @ v
-        delta = (w.conj().swapaxes(-1, -2)[..., None, :, :] * self._z[:, None, :]) @ w[..., None, :, :]
-        constituents = np.concatenate((beta[..., None, :, :], delta), -3)
-        flat = constituents.reshape(constituents.shape[:-3] + (-1,))
-        readouts = np.real(self._phases * flat.take(self._circuits, -1))
         if shots is not None:
             _check_shots(shots)
+            if rng is None:
+                raise ValueError("shot mode needs rng, a seeded generator or a list of them")
+        x = np.asarray(amplitudes)
+        if np.iscomplexobj(x):
+            if x.imag.any():
+                raise ValueError("amplitudes must be real: the ansatz state is real")
+            x = x.real
+        y = x.take(self._perm, -1) * self._sign
+        # contiguous, so that every row's product takes the same BLAS path
+        # whatever batch it rides in
+        y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
+        # (..., L, F * D) -> (..., L * F, D) -> Gram products (..., L, F, L)
+        yk = y @ self._k
+        gram = yk.reshape(yk.shape[:-2] + (-1, x.shape[-1])) @ y_t
+        flat = gram.reshape(gram.shape[:-2] + (-1,))
+        readouts = self._f_re * flat.take(self._re_circuits, -1)
+        if self._im_circuits is not None:
+            readouts -= self._f_im * flat.take(self._im_circuits, -1)
+        if shots is not None:
             # rounding can put r a few ulps outside [-1, 1] near the solution
-            p = np.clip((1.0 + readouts) / 2.0, 0.0, 1.0)
+            p = np.minimum(np.maximum((1.0 + readouts) / 2.0, 0.0), 1.0)
             if isinstance(rng, list):
                 counts = np.empty_like(p)
                 for j, generator in zip(range(p.shape[-2]), rng, strict=True):
                     counts[..., j, :] = generator.binomial(shots, p[..., j, :])
             else:
-                counts = (np.random.default_rng() if rng is None else rng).binomial(shots, p)
+                counts = rng.binomial(shots, p)
             readouts = 2.0 * counts / shots - 1.0
         weighted = self._weights * readouts
         denominator = self._norm2 + weighted[..., : self._beta_count].sum(-1)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,10 +351,21 @@ class TestErrorContract:
             ({"spsa_overrides": {"alpha": "x"}}, [], "alpha must be a finite real number"),
             ({"spsa_overrides": {"c": float("nan")}}, [], "c must be a finite real number"),
             ({"spsa_overrides": {"a": float("inf")}}, [], "a must be a finite real number"),
+            ({"shots": 2**63}, [], "shots"),
+            ({}, ["--shots", str(2**63)], "shots"),
+            # a top level that is not an object replaces the whole config
+            ([], [], "config must be a JSON object"),
+            (None, [], "config must be a JSON object"),
+            (8192, [], "config must be a JSON object"),
+            ("exact", [], "config must be a JSON object"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):
-        config = write_config(tmp_path, **config_overrides)
+        if isinstance(config_overrides, dict):
+            config = write_config(tmp_path, **config_overrides)
+        else:
+            config = str(tmp_path / "config.json")
+            Path(config).write_text(json.dumps(config_overrides))
         out = tmp_path / "run"
         out.mkdir()
         assert main(["solve", "--config", config, "--out", str(out), *flags]) == 1

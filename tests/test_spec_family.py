@@ -6,6 +6,7 @@ forward-Euler stability limit nu * dt / dx^2 <= 1/2.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +110,66 @@ def test_batched_costs_match_single_states(spec, seed):
             ):
                 assert batched.value[i, j].tobytes() == np.float64(single.value).tobytes()
                 assert batched.readouts[i, j].tobytes() == single.readouts.tobytes()
+
+
+def complex_product_readouts(evaluator, amplitudes):
+    """Independent oracle of the full_sym readouts, from dense complex
+    products: with V = [P_l x]_l and W = U^dag V, beta = V^dag V and
+    delta_q = W^dag diag(z_q) W hold every constituent, and circuit c
+    (beta for l < l', then delta_q for l <= l') reads
+    Re(e^{i phi} constituent) with e^{i phi} = c_l* c_l' / |c_l c_l'|."""
+    nq, n_terms, c = evaluator.num_qubits, evaluator.term_count, evaluator.coefficients
+    paulis = np.stack([pauli.label_matrix(l) for l in evaluator.labels])
+    u_dag = evaluator.u.conj().T
+    idx = np.arange(2**nq)
+    z = np.array([1.0 - 2.0 * ((idx >> (nq - 1 - q)) & 1) for q in range(nq)])
+    ones = np.ones((n_terms, n_terms), dtype=bool)
+    circuits = np.flatnonzero(np.stack([np.triu(ones, 1)] + [np.triu(ones)] * nq))
+    phase = np.exp(1j * np.angle(np.outer(c.conj(), c)))
+    phases = np.broadcast_to(phase, (1 + nq, *ones.shape)).take(circuits)
+
+    v = (paulis @ np.asarray(amplitudes)[..., None, :, None])[..., 0].swapaxes(-1, -2)
+    w = u_dag @ v
+    beta = v.conj().swapaxes(-1, -2) @ v
+    delta = (w.conj().swapaxes(-1, -2)[..., None, :, :] * z[:, None, :]) @ w[..., None, :, :]
+    constituents = np.concatenate((beta[..., None, :, :], delta), -3)
+    flat = constituents.reshape(constituents.shape[:-3] + (-1,))
+    return np.real(phases * flat.take(circuits, -1))
+
+
+def random_unitary(dim, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=specs(), seed=st.integers(0, 2**32 - 1))
+def test_real_readouts_match_complex_products(spec, seed):
+    # the real signed-permutation form against the dense complex products,
+    # with the spec's b-prep and with a random complex unitary one
+    system = problem.build_block_system(spec)
+    cfg = vqls.ansatz_for(spec)
+    decomposition = pauli.decompose(system.a_reduced)
+    rng = np.random.default_rng(seed)
+    x = vqls.ansatz_amplitudes(cfg, rng.uniform(0.0, 2.0 * np.pi, (2, 3, cfg.n_params)))
+    for b_prep in (vqls._b_preparation(system), random_unitary(x.shape[-1], rng)):
+        evaluator = vqls.CostEvaluator(decomposition, cfg, b_prep)
+        readouts = evaluator.local_cost_of_state(x).readouts
+        assert np.abs(readouts - complex_product_readouts(evaluator, x)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 5))
+def test_real_readouts_match_complex_products_for_complex_operators(num_qubits):
+    # complex coefficients of every phase and a complex b-prep exercise
+    # both parts of every factor f_c
+    dim = 2**num_qubits
+    rng = np.random.default_rng(num_qubits)
+    decomposition = pauli.decompose(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    cfg = vqls.AnsatzConfig(num_qubits=num_qubits, units=2)
+    evaluator = vqls.CostEvaluator(decomposition, cfg, random_unitary(dim, rng))
+    x = vqls.ansatz_amplitudes(cfg, rng.uniform(0.0, 2.0 * np.pi, (4, cfg.n_params)))
+    readouts = evaluator.local_cost_of_state(x).readouts
+    assert np.abs(readouts - complex_product_readouts(evaluator, x)).max() <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)

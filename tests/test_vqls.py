@@ -339,7 +339,8 @@ class TestSampledStrings:
         standard_error = values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean() - exact) <= 4.0 * standard_error
 
-    @pytest.mark.parametrize("shots", [0, -1, 2.5, True])
+    # 2**63 overflows the int64 count of Generator.binomial
+    @pytest.mark.parametrize("shots", [0, -1, 2.5, True, 2**63, np.uint64(2**63)])
     def test_invalid_shots_rejected_before_drawing(self, evaluator, shots):
         rng = RecordingGenerator(0)
         with pytest.raises(ValueError, match="shots"):
@@ -350,6 +351,33 @@ class TestSampledStrings:
 
 
 class TestLocalCost:
+    def test_shot_mode_needs_a_generator(self, evaluator, monkeypatch):
+        x = ansatz_amplitudes(ANSATZ, np.random.default_rng(41).uniform(0, 2 * np.pi, 12))
+
+        def unseeded(*args, **kwargs):
+            raise AssertionError("shot mode made a generator of its own")
+
+        monkeypatch.setattr(np.random, "default_rng", unseeded)
+        with pytest.raises(ValueError, match="rng"):
+            evaluator.local_cost_of_state(x, 8192)
+        with pytest.raises(ValueError, match="rng"):
+            evaluator.local_cost(np.zeros(12), shots=8192, rng=None)
+
+    def test_complex_amplitudes_must_be_real(self, evaluator):
+        # a zero imaginary part, as `ansatz_state` gives, reads like the
+        # real amplitudes; any other is rejected
+        x = ansatz_amplitudes(ANSATZ, np.random.default_rng(43).uniform(0, 2 * np.pi, (2, 3, 12)))
+        real = evaluator.local_cost_of_state(x)
+        as_complex = evaluator.local_cost_of_state(x.astype(complex))
+        assert as_complex.readouts.tobytes() == real.readouts.tobytes()
+        assert as_complex.value.tobytes() == real.value.tobytes()
+        tilted = x.astype(complex)
+        tilted[1, 2, 5] += 1e-300j
+        with pytest.raises(ValueError, match="real"):
+            evaluator.local_cost_of_state(tilted)
+        with pytest.raises(ValueError, match="real"):
+            evaluator.local_cost_of_state(tilted, 8192, np.random.default_rng(0))
+
     def test_zero_at_exact_solution_state(self, evaluator):
         x_star = np.linalg.solve(SYSTEM.a_reduced, SYSTEM.b_raw)
         breakdown = evaluator.local_cost_of_state(x_star / np.linalg.norm(x_star))
