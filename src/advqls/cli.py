@@ -185,12 +185,6 @@ def _member_path(out_dir: Path, member: int) -> Path:
     return out_dir / f"member_{member:03d}.json"
 
 
-def _classical_fields(spec: problem.ProblemSpec) -> tuple[problem.BlockSystem, np.ndarray]:
-    """The block system of `spec` and its classical solution as (n_t - 1, n) fields."""
-    system = problem.build_block_system(spec)
-    return system, problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
-
-
 def _write_reference_csvs(
     out_dir: Path, system: problem.BlockSystem, classical: np.ndarray
 ) -> None:
@@ -214,7 +208,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(cfg, args)
     ansatz = None if cfg.classical_only else cfg.ansatz()
     spec = cfg.problem
-    system, classical = _classical_fields(spec)
+    # the same cached build `run_ensemble` takes below
+    system, classical = vqls._reference(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "solve", cfg.to_dict())
     _write_reference_csvs(out_dir, system, classical)
@@ -279,7 +274,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         record = vqls.SolveRecord.from_dict(json.load(fh))
 
     spec = cfg.problem
-    _, classical = _classical_fields(spec)
+    _, classical = vqls._reference(spec)
     sol_cols = [f"u_t{k}_g{j + 1}" for k in range(1, spec.n_t) for j in range(spec.n)]
     ref_cols = [f"ref_t{k}_g{j + 1}" for k in range(1, spec.n_t) for j in range(spec.n)]
     header = ["iteration", "cost"] + sol_cols + ref_cols

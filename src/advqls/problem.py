@@ -42,6 +42,14 @@ __all__ = [
 ]
 
 
+def _square(value) -> float:
+    """value**2 as a Python float, inf where it overflows."""
+    try:
+        return float(value) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Grid and physics parameters of one advection-diffusion run.
@@ -78,8 +86,18 @@ class ProblemSpec:
             raise ValueError(f"diffusion coefficient must be >= 0, got nu={self.nu}")
         if self.length <= 0:
             raise ValueError(f"domain length must be positive, got {self.length}")
+        if not 0.0 < _square(self.dx) < math.inf:
+            raise ValueError(
+                f"length={self.length} over n={self.n} points gives a grid spacing "
+                f"dx={self.dx} whose square is not a positive finite number"
+            )
         if self.kappa is None:
             object.__setattr__(self, "kappa", 2.0 * np.pi / self.length)
+        if not _square(self.kappa) < math.inf:
+            raise ValueError(
+                f"kappa must have a finite square (the reference decays as "
+                f"exp(-kappa**2 nu t)), got kappa={self.kappa}"
+            )
 
     @property
     def dx(self) -> float:
@@ -121,7 +139,15 @@ def initial_condition(spec: ProblemSpec) -> np.ndarray:
     return np.sin(spec.kappa * spec.grid)
 
 
+# overflow is reported by the finiteness check, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def build_block_system(spec: ProblemSpec) -> BlockSystem:
+    """The stacked system of `spec` and its reduced form.
+
+    Raises ValueError, naming the fields, when the system or the norm of
+    its right-hand side or of its classical solution is not finite, or
+    when the right-hand side vanishes, before anything divides by its norm.
+    """
     n, n_t = spec.n, spec.n_t
     m = build_m(spec)
     step = np.eye(n) + m * spec.dt
@@ -138,6 +164,20 @@ def build_block_system(spec: ProblemSpec) -> BlockSystem:
     b_raw = np.zeros((n_t - 1) * n)
     b_raw[:n] = step @ u0
     b_norm = float(np.linalg.norm(b_raw))
+    classical_norm = np.linalg.norm(solve_unit_lower_triangular(a_reduced, b_raw))
+    if not (np.isfinite(a_full).all() and math.isfinite(b_norm) and np.isfinite(classical_norm)):
+        raise ValueError(
+            f"nu={spec.nu}, dt={spec.dt}, length={spec.length} and kappa={spec.kappa} "
+            "give a system that is not finite, or a right-hand side or classical "
+            f"solution whose norm is not (nu * dt / dx**2 = {spec.nu * spec.dt / spec.dx**2:g} "
+            f"over n_t={n_t} levels)"
+        )
+    if b_norm == 0.0:
+        raise ValueError(
+            f"right-hand side (I + M dt) u0 vanishes for kappa={spec.kappa}, "
+            f"nu={spec.nu}, dt={spec.dt}: the initial mode sin(kappa x) must not "
+            "be zero on the grid"
+        )
     return BlockSystem(
         spec=spec,
         a_full=a_full,

@@ -54,11 +54,17 @@ costs. They use stacked matmuls, elementwise products and last-axis sums
 only, never a product whose M dimension is the batch, so each row is
 byte-equal to the single-state call whatever batch it rides in.
 `run_ensemble` uses that to step every member in lockstep in one
-process: it builds the system, decomposition, evaluator and classical
-reference once, each SPSA iteration makes one `ansatz_amplitudes` call on
-the (2, m, P) stack of the m members still running and costs it in one
-call, and the solution traces of all members come from one call each
-after the run. `solve` is its one-member case.
+process: each SPSA iteration makes one `ansatz_amplitudes` call on the
+(2, m, P) stack of the m members still running and costs it in one call,
+and the solution traces of all members come from one call each after the
+run. `solve` is its one-member case.
+
+The system, decomposition, b-prep, evaluator and classical reference are
+built once per process per (spec, ansatz), in a bounded cache keyed on
+the frozen `ProblemSpec` and `AnsatzConfig`, and every array they hold is
+read-only, so repeated solves on one spec share them and no caller can
+change what a later run sees. Arguments are still checked on every call:
+a failed build is never cached.
 """
 
 from __future__ import annotations
@@ -125,7 +131,7 @@ class AnsatzConfig:
 def ansatz_for(spec: problem.ProblemSpec, units: int = AnsatzConfig.units) -> AnsatzConfig:
     """The ansatz on the register of `spec`'s reduced system, (n_t - 1) * n
     amplitudes, which must be a power of two."""
-    dim = (spec.n_t - 1) * spec.n
+    dim = int((spec.n_t - 1) * spec.n)
     num_qubits = dim.bit_length() - 1
     if 2**num_qubits != dim:
         raise ValueError(
@@ -574,6 +580,49 @@ def _b_preparation(system: problem.BlockSystem) -> sim.Circuit | np.ndarray:
     return (np.eye(dim) - 2.0 * np.outer(v, v) / vnorm2).astype(complex)
 
 
+# Distinct (spec, ansatz) builds one process keeps; a sweep over more
+# specs than this rebuilds the oldest.
+_BUILDS_KEPT = 16
+
+
+def _read_only(*objects) -> None:
+    """Make every array among `objects` and their attributes read-only."""
+    for obj in objects:
+        for value in (obj, *getattr(obj, "__dict__", {}).values()):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+@lru_cache(maxsize=_BUILDS_KEPT)
+def _reference(spec: problem.ProblemSpec) -> tuple[problem.BlockSystem, np.ndarray]:
+    """The block system of `spec` and its classical solution as (n_t - 1, n)
+    fields, built once per process per spec, all arrays read-only."""
+    system = problem.build_block_system(spec)
+    classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
+    _read_only(system, classical)
+    return system, classical
+
+
+@lru_cache(maxsize=_BUILDS_KEPT)
+def _build(
+    spec: problem.ProblemSpec, ansatz: AnsatzConfig
+) -> tuple[problem.BlockSystem, np.ndarray, CostEvaluator, int]:
+    """`_reference(spec)`, the cost evaluator of (spec, ansatz) and its
+    full_sym circuits per evaluation, built once per process per (spec,
+    ansatz), all arrays read-only. A failed build raises on every call."""
+    system, classical = _reference(spec)
+    dim = system.a_reduced.shape[0]
+    if 2**ansatz.num_qubits != dim:
+        raise ValueError(
+            f"ansatz spans 2^{ansatz.num_qubits} amplitudes but the reduced "
+            f"system has dimension {dim}"
+        )
+    evaluator = CostEvaluator(pauli.decompose(system.a_reduced), ansatz, _b_preparation(system))
+    _read_only(evaluator)
+    circuits = circuit_count(ansatz.num_qubits, evaluator.term_count, "full_sym")
+    return system, classical, evaluator, circuits
+
+
 def solve(
     spec: problem.ProblemSpec,
     ansatz: AnsatzConfig | None = None,
@@ -600,12 +649,14 @@ def run_ensemble(
     i uses seed base_seed + i, and its record equals that of the member
     run alone.
 
-    Builds the block system, decomposition, evaluator and classical
-    reference once, then drives every member's local cost with
-    `spsa.run_lockstep` from a uniformly random start in [0, 2 pi)^P: the
-    closed form when shots is None, else the sampled term sum, one
-    binomial draw per full_sym circuit. Each iteration costs the (2, m, P)
-    point stack of the m members still running with one
+    The block system, decomposition, b-prep, evaluator and classical
+    reference are built once per process per (spec, ansatz) and shared,
+    read-only, by every later call on an equal spec and ansatz; the
+    arguments are checked on every call. Every member's local cost is
+    driven by `spsa.run_lockstep` from a uniformly random start in
+    [0, 2 pi)^P: the closed form when shots is None, else the sampled
+    term sum, one binomial draw per full_sym circuit. Each iteration costs
+    the (2, m, P) point stack of the m members still running with one
     `ansatz_amplitudes` call and one cost call. A member that hits the
     iteration cap is returned with converged=False. After the run every
     member's solution trace, (iterations + 1, n_t - 1, n), comes from one
@@ -635,15 +686,7 @@ def run_ensemble(
         ansatz = ansatz_for(spec)
     if spsa_cfg is None:
         spsa_cfg = DEFAULT_SPSA
-    system = problem.build_block_system(spec)
-    dim = system.a_reduced.shape[0]
-    if 2**ansatz.num_qubits != dim:
-        raise ValueError(
-            f"ansatz spans 2^{ansatz.num_qubits} amplitudes but the reduced "
-            f"system has dimension {dim}"
-        )
-    decomposition = pauli.decompose(system.a_reduced)
-    evaluator = CostEvaluator(decomposition, ansatz, _b_preparation(system))
+    system, classical, evaluator, circuits = _build(spec, ansatz)
     seeds = [base_seed + i for i in range(ensemble_size)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     theta_init = np.array([rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params) for rng in rngs])
@@ -674,8 +717,6 @@ def run_ensemble(
     thetas = np.concatenate([theta for theta, _ in history])[np.argsort(owner, kind="stable")]
     fields = rescale_solution(ansatz_amplitudes(ansatz, thetas), system)
     traces = np.split(fields, np.cumsum([r.iterations + 1 for r in results])[:-1])
-    classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
-    circuits = circuit_count(ansatz.num_qubits, decomposition.term_count, "full_sym")
     records = []
     for seed, result, solution_trace in zip(seeds, results, traces):
         u_fields = solution_trace[-1].copy()

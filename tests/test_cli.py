@@ -358,6 +358,12 @@ class TestErrorContract:
             (None, [], "config must be a JSON object"),
             (8192, [], "config must be a JSON object"),
             ("exact", [], "config must be a JSON object"),
+            # degenerate or overflowing systems, named before anything divides
+            ({"problem": {"kappa": 0}}, [], "right-hand side (I + M dt) u0 vanishes for kappa=0"),
+            ({"problem": {"nu": 1e308}}, [], "nu=1e+308"),
+            ({"problem": {"dt": 1e300}}, [], "dt=1e+300"),
+            ({"problem": {"length": 1e-320}}, [], "length=1e-320"),
+            ({"problem": {"kappa": 1e308}}, [], "kappa must have a finite square"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -128,6 +130,22 @@ class TestBlockSystem:
         system = build_block_system(REFERENCE_SPEC)
         assert fit_phi_degrees(system.b_state) == pytest.approx(-160.725, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kappa": 0.0}, "vanishes for kappa=0.0"),
+            ({"kappa": 1e-200}, "vanishes for kappa=1e-200"),   # its norm underflows
+            ({"nu": 1e308}, "nu=1e+308"),                       # M overflows
+            ({"dt": 1e300}, "dt=1e+300"),                       # the solution overflows
+            ({"dt": 1e100}, "dt=1e+100"),                       # its norm overflows
+            ({"nu": np.float64(1e308)}, "nu=1e+308"),
+        ],
+    )
+    def test_degenerate_or_overflowing_system(self, kwargs, message):
+        # raised before any warning (warnings are errors here)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_block_system(ProblemSpec(**kwargs))
+
 
 class TestClassicalSolve:
     def test_reference_fields(self):
@@ -218,6 +236,10 @@ class TestSpecValidation:
             {"dt": -1.0},
             {"nu": -0.05},
             {"length": 0.0},
+            {"length": 1e-320},   # dx**2 underflows to 0
+            {"length": 1e200},    # dx**2 overflows
+            {"kappa": 1e200},     # kappa**2 overflows
+            {"kappa": np.float64(1e200)},
         ],
     )
     def test_invalid_parameters(self, kwargs):

@@ -5,12 +5,14 @@ Each case draws one of the specs (n, n_t) whose reduced dimension
 forward-Euler stability limit nu * dt / dx^2 <= 1/2.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advqls import pauli, problem, sim, vqls
+from advqls import pauli, problem, sim, spsa, vqls
 
 SHAPES = [(4, 3), (8, 2), (4, 5), (8, 3), (16, 2)]
 
@@ -222,3 +224,32 @@ def test_shot_mean_within_binomial_error(spec, seed):
         for i in range(evaluations)
     ]
     assert abs(np.mean(values) - evaluator.dense_cost(x)) <= 4.0 * standard_error
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=specs(), other=specs(), shots=st.sampled_from([None, 8192]))
+@example(spec=problem.ProblemSpec(n=16, n_t=3), other=problem.ProblemSpec(), shots=None)
+@example(spec=problem.ProblemSpec(n=16, n_t=3), other=problem.ProblemSpec(), shots=8192)
+def test_cached_build_is_transparent(spec, other, shots):
+    # member records (or the error raised) are byte-identical for a cold
+    # build, a second cold build, a warm call and a warm call after another
+    # spec has run in between
+    cfg = spsa.SpsaConfig(max_iter=3, stop_rule="none")
+
+    def outcome():
+        try:
+            records = vqls.run_ensemble(spec, spsa_cfg=cfg, shots=shots, base_seed=7, ensemble_size=2)
+        except vqls.DegenerateStateError as exc:
+            return repr(exc)
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+
+    def cold():
+        vqls._build.cache_clear()
+        vqls._reference.cache_clear()
+        return outcome()
+
+    first = cold()
+    assert cold() == first
+    assert outcome() == first
+    vqls.run_ensemble(other, spsa_cfg=spsa.SpsaConfig(max_iter=1, stop_rule="none"), ensemble_size=1)
+    assert outcome() == first
