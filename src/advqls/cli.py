@@ -208,21 +208,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(cfg, args)
     ansatz = None if cfg.classical_only else cfg.ansatz()
     spec = cfg.problem
-    # the same cached build `run_ensemble` takes below
-    system, classical = vqls._reference(spec)
+    system, classical = reference = vqls._reference(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "solve", cfg.to_dict())
     _write_reference_csvs(out_dir, system, classical)
     if cfg.classical_only:
         return 0
 
-    records = vqls.run_ensemble(
-        spec,
-        ansatz=ansatz,
-        spsa_cfg=cfg.spsa_config(),
-        shots=cfg.shots,
-        base_seed=cfg.base_seed,
-        ensemble_size=cfg.ensemble_size,
+    # RunConfig has checked what run_ensemble would; reuse the reference
+    records = vqls._run_ensemble(
+        reference, ansatz, cfg.spsa_config(), cfg.shots, cfg.base_seed, cfg.ensemble_size
     )
     for i, record in enumerate(records):
         with open(_member_path(out_dir, i), "w", encoding="utf-8") as fh:

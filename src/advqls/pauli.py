@@ -2,10 +2,11 @@
 
 A 2^Q x 2^Q matrix A is expanded as A = sum_l c_l P_l, where each P_l is a
 tensor product of single-qubit operators from {I, X, Y, Z} and
-c_l = tr(P_l A) / 2^Q. Coordinates are extracted with a recursive 2x2
-block transform that peels one qubit per level (four sub-blocks per
-recursion step), so a dense input costs O(N^2 log2 N) instead of the
-O(4^Q N^2) of evaluating every trace separately.
+c_l = tr(P_l A) / 2^Q. Coordinates are extracted with a 2x2 block
+transform that peels one qubit per pass, from every block of the pass
+at once (four sub-blocks each), so a dense input costs O(N^2 log2 N) in
+Q array passes instead of the O(4^Q N^2) of evaluating every trace
+separately.
 
 Label convention: character 0 of a label acts on qubit 0, which is the
 most significant bit of the state index (see `advqls.sim`).
@@ -117,27 +118,31 @@ def _num_qubits(matrix: np.ndarray) -> int:
     return dim.bit_length() - 1
 
 
-def _coordinates(block: np.ndarray, prefix: str, out: dict[str, complex]) -> None:
-    # Peel the most significant remaining qubit: with A = [[a, b], [c, d]]
-    # in half-size blocks, the I/X/Y/Z coordinates on that qubit are
-    # (a+d)/2, (b+c)/2, i(b-c)/2, (a-d)/2.
-    dim = block.shape[0]
-    if dim == 1:
-        val = complex(block[0, 0])
-        if val != 0:
-            out[prefix] = val
-        return
-    h = dim // 2
-    a, b = block[:h, :h], block[:h, h:]
-    c, d = block[h:, :h], block[h:, h:]
-    for ch, sub in (
-        ("I", (a + d) * 0.5),
-        ("X", (b + c) * 0.5),
-        ("Y", (b - c) * 0.5j),
-        ("Z", (a - d) * 0.5),
-    ):
-        if np.count_nonzero(sub):
-            _coordinates(sub, prefix + ch, out)
+# the factor of each of the I, X, Y, Z sub-blocks below, on its axis
+_HALVES = np.array([0.5, 0.5, 0.5j, 0.5])[:, None, None]
+
+
+def _coordinates(matrix: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Every coordinate tr(P A) / 2^Q as one flat array of 4^Q entries, entry
+    k for the label whose characters are the base-4 digits of k (I, X, Y,
+    Z = 0..3, qubit 0 the leading digit): the labels' lexicographic order."""
+    # Peel the most significant remaining qubit of every block at once:
+    # with A = [[a, b], [c, d]] in half-size blocks, the I/X/Y/Z
+    # coordinates on that qubit are (a+d)/2, (b+c)/2, i(b-c)/2, (a-d)/2.
+    blocks = matrix[None]
+    for _ in range(num_qubits):
+        count, dim = blocks.shape[:2]
+        h = dim // 2
+        quad = blocks.reshape(count, 2, h, 2, h)
+        a, b, c, d = quad[:, 0, :, 0], quad[:, 0, :, 1], quad[:, 1, :, 0], quad[:, 1, :, 1]
+        blocks = np.empty((count, 4, h, h), dtype=complex)
+        np.add(a, d, out=blocks[:, 0])
+        np.add(b, c, out=blocks[:, 1])
+        np.subtract(b, c, out=blocks[:, 2])
+        np.subtract(a, d, out=blocks[:, 3])
+        blocks *= _HALVES
+        blocks = blocks.reshape(4 * count, h, h)
+    return blocks.reshape(-1)
 
 
 def decompose(matrix: np.ndarray, prune_eps: float = 1e-12) -> PauliDecomposition:
@@ -153,13 +158,14 @@ def decompose(matrix: np.ndarray, prune_eps: float = 1e-12) -> PauliDecompositio
         raise ValueError(f"prune_eps must be a finite real number >= 0, got {prune_eps!r}")
     matrix = np.asarray(matrix, dtype=complex)
     num_qubits = _num_qubits(matrix)
-    coords: dict[str, complex] = {}
-    _coordinates(matrix, "", coords)
-    terms = tuple(
-        PauliTerm(coords[label], label)
-        for label in sorted(coords)
-        if abs(coords[label]) > prune_eps
-    )
+    coords = _coordinates(matrix, num_qubits)
+    shifts = range(2 * num_qubits - 2, -1, -2)
+    terms = []
+    for k in np.flatnonzero(coords).tolist():
+        coefficient = complex(coords[k])
+        if abs(coefficient) > prune_eps:
+            terms.append(PauliTerm(coefficient, "".join("IXYZ"[(k >> s) & 3] for s in shifts)))
+    terms = tuple(terms)
     return PauliDecomposition(num_qubits=num_qubits, terms=terms)
 
 

@@ -127,10 +127,10 @@ def build_m(spec: ProblemSpec) -> np.ndarray:
         raise ValueError(f"the periodic stencil needs n >= 3, got n={spec.n}")
     coupling = spec.nu / spec.dx**2
     m = np.zeros((spec.n, spec.n))
-    for i in range(spec.n):
-        m[i, i] = -2.0 * coupling
-        m[i, (i + 1) % spec.n] += coupling
-        m[i, (i - 1) % spec.n] += coupling
+    i = np.arange(spec.n)
+    m[i, i] = -2.0 * coupling
+    m[i, (i + 1) % spec.n] += coupling
+    m[i, (i - 1) % spec.n] += coupling
     return m
 
 
@@ -139,14 +139,22 @@ def initial_condition(spec: ProblemSpec) -> np.ndarray:
     return np.sin(spec.kappa * spec.grid)
 
 
+def _not_finite(spec: ProblemSpec, what: str) -> str:
+    return (
+        f"nu={spec.nu}, dt={spec.dt}, length={spec.length} and kappa={spec.kappa} "
+        f"give {what} that is not finite (nu * dt / dx**2 = "
+        f"{spec.nu * spec.dt / spec.dx**2:g} over n_t={spec.n_t} levels)"
+    )
+
+
 # overflow is reported by the finiteness check, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def build_block_system(spec: ProblemSpec) -> BlockSystem:
     """The stacked system of `spec` and its reduced form.
 
     Raises ValueError, naming the fields, when the system or the norm of
-    its right-hand side or of its classical solution is not finite, or
-    when the right-hand side vanishes, before anything divides by its norm.
+    its right-hand side is not finite, or when the right-hand side
+    vanishes, before anything divides by its norm.
     """
     n, n_t = spec.n, spec.n_t
     m = build_m(spec)
@@ -164,14 +172,8 @@ def build_block_system(spec: ProblemSpec) -> BlockSystem:
     b_raw = np.zeros((n_t - 1) * n)
     b_raw[:n] = step @ u0
     b_norm = float(np.linalg.norm(b_raw))
-    classical_norm = np.linalg.norm(solve_unit_lower_triangular(a_reduced, b_raw))
-    if not (np.isfinite(a_full).all() and math.isfinite(b_norm) and np.isfinite(classical_norm)):
-        raise ValueError(
-            f"nu={spec.nu}, dt={spec.dt}, length={spec.length} and kappa={spec.kappa} "
-            "give a system that is not finite, or a right-hand side or classical "
-            f"solution whose norm is not (nu * dt / dx**2 = {spec.nu * spec.dt / spec.dx**2:g} "
-            f"over n_t={n_t} levels)"
-        )
+    if not (np.isfinite(a_full).all() and math.isfinite(b_norm)):
+        raise ValueError(_not_finite(spec, "a system or right-hand side norm"))
     if b_norm == 0.0:
         raise ValueError(
             f"right-hand side (I + M dt) u0 vanishes for kappa={spec.kappa}, "
@@ -198,9 +200,16 @@ def solve_unit_lower_triangular(lower: np.ndarray, rhs: np.ndarray) -> np.ndarra
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classical_solve(system: BlockSystem) -> np.ndarray:
-    """Exact solution of the reduced system (concatenated u at t = dt, 2dt, ...)."""
-    return solve_unit_lower_triangular(system.a_reduced, system.b_raw)
+    """Exact solution of the reduced system (concatenated u at t = dt, 2dt, ...).
+
+    Raises ValueError, naming the fields, when its norm is not finite.
+    """
+    x = solve_unit_lower_triangular(system.a_reduced, system.b_raw)
+    if not np.isfinite(np.linalg.norm(x)):
+        raise ValueError(_not_finite(system.spec, "a classical solution norm"))
+    return x
 
 
 def analytic_solution(spec: ProblemSpec, t: float) -> np.ndarray:
@@ -210,20 +219,27 @@ def analytic_solution(spec: ProblemSpec, t: float) -> np.ndarray:
     return np.exp(-spec.kappa**2 * spec.nu * t) * initial_condition(spec)
 
 
-def rmse(a: np.ndarray, b: np.ndarray) -> float:
+def _float_if_scalar(value: np.ndarray) -> float | np.ndarray:
+    return float(value) if value.ndim == 0 else value
+
+
+def rmse(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Root-mean-square of a - b over the last axis: a float for vectors,
+    and over leading axes an array whose entries equal the vector calls."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    return _float_if_scalar(np.sqrt(np.mean((a - b) ** 2, axis=-1)))
 
 
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """rmse(a, b) normalized by the RMS of the reference b."""
+def relative_error(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """rmse(a, b) normalized by the RMS of the reference b, over leading
+    axes like `rmse`."""
     b = np.asarray(b, dtype=float)
-    reference_rms = float(np.sqrt(np.mean(b**2)))
-    if reference_rms == 0.0:
+    reference_rms = np.sqrt(np.mean(b**2, axis=-1))
+    if not reference_rms.all():
         raise ValueError("reference vector is identically zero")
-    return rmse(a, b) / reference_rms
+    return _float_if_scalar(rmse(a, b) / reference_rms)
 
 
 def fit_phi_degrees(b_state: np.ndarray) -> float:

@@ -44,8 +44,9 @@ The ansatz is real, so the cost is a ratio of two real quadratic forms,
     C = x^T H x / x^T G x,   H = Re A^dag U (I/2 - sum_q Z_q / 2Q) U^dag A,
                              G = Re A^dag A,
 
-with H and G built once per evaluator, and the state comes from
-`ansatz_amplitudes` without the gate interpreter.
+with H and G built on the evaluator's first exact cost (shot mode never
+builds them), and the state comes from `ansatz_amplitudes` without the
+gate interpreter.
 
 `ansatz_amplitudes`, `rescale_solution`, `CostEvaluator.dense_cost`
 and `CostEvaluator.local_cost_of_state` work over leading axes: (..., P)
@@ -54,23 +55,17 @@ costs. They use stacked matmuls, elementwise products and last-axis sums
 only, never a product whose M dimension is the batch, so each row is
 byte-equal to the single-state call whatever batch it rides in.
 `run_ensemble` uses that to step every member in lockstep in one
-process: each SPSA iteration makes one `ansatz_amplitudes` call on the
-(2, m, P) stack of the m members still running and costs it in one call,
-and the solution traces of all members come from one call each after the
-run. `solve` is its one-member case.
-
-The system, decomposition, b-prep, evaluator and classical reference are
-built once per process per (spec, ansatz), in a bounded cache keyed on
-the frozen `ProblemSpec` and `AnsatzConfig`, and every array they hold is
-read-only, so repeated solves on one spec share them and no caller can
-change what a later run sees. Arguments are still checked on every call:
-a failed build is never cached.
+process: it builds the system, decomposition, evaluator and classical
+reference once, each SPSA iteration makes one `ansatz_amplitudes` call on
+the (2, m, P) stack of the m members still running and costs it in one
+call, and the solution traces of all members come from one call each
+after the run. `solve` is its one-member case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -243,9 +238,28 @@ class CostBreakdown:
     readouts: np.ndarray        # (..., C), one per full_sym circuit, beta first
 
 
-def _z_signs(num_qubits: int, q: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _z_signs(num_qubits: int) -> np.ndarray:
+    """(Q, 2**Q) diagonals of Z_q, row q for qubit q (read-only, cached)."""
     idx = np.arange(2**num_qubits)
-    return 1.0 - 2.0 * ((idx >> (num_qubits - 1 - q)) & 1)
+    z = 1.0 - 2.0 * ((idx >> (num_qubits - 1 - np.arange(num_qubits)[:, None])) & 1)
+    z.setflags(write=False)
+    return z
+
+
+@lru_cache(maxsize=64)
+def _circuit_tables(n_terms: int, num_qubits: int) -> tuple[np.ndarray, ...]:
+    """(family, l, l') of each full_sym circuit in order: family 0 (beta)
+    for l < l', then family q + 1 (delta_q) for l <= l', each row by row
+    (read-only, cached)."""
+    beta = np.triu_indices(n_terms, 1)
+    delta = np.triu_indices(n_terms)
+    family = np.repeat(np.arange(1 + num_qubits), [beta[0].size] + [delta[0].size] * num_qubits)
+    row = np.concatenate([beta[0]] + [delta[0]] * num_qubits)
+    col = np.concatenate([beta[1]] + [delta[1]] * num_qubits)
+    for table in (family, row, col):
+        table.setflags(write=False)
+    return family, row, col
 
 
 # i^k for k = 0..3
@@ -322,27 +336,19 @@ class CostEvaluator:
             raise ValueError("b-prep operator is not unitary")
         self.u = u
         self.num_qubits = nq
-        z = np.array([_z_signs(nq, q) for q in range(nq)])
-        # Closed form of the exact cost for real x: the imaginary parts of
-        # these Hermitian matrices are antisymmetric and cancel in x^T M x.
-        a = pauli.reconstruct(decomposition)
-        local = u @ np.diag(0.5 - sum(z) / (2.0 * nq)) @ u.conj().T
-        self._h = np.real(a.conj().T @ local @ a)
-        self._g = np.real(a.conj().T @ a)
         # One Hadamard test per full_sym circuit: beta for l < l', then
         # delta_q for l <= l', each with the weight w_c of its readout in
         # the linear forms (see module doc).
         n_terms = self.term_count
         c = self.coefficients
-        ones = np.ones((n_terms, n_terms), dtype=bool)
-        circuits = np.flatnonzero(np.stack([np.triu(ones, 1)] + [np.triu(ones)] * nq))
-        family, row, col = np.unravel_index(circuits, (1 + nq, n_terms, n_terms))
+        family, row, col = _circuit_tables(n_terms, nq)
         self._beta_count = n_terms * (n_terms - 1) // 2
         self._weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
         self._norm2 = float(np.sum(np.abs(c) ** 2))
         # Real form of the readouts (see `local_cost_of_state`): circuit c
         # reads the entries (l, family, l') of the (L, F, L) Gram products.
         self._perm, self._sign, n_y = _signed_permutations(tuple(self.labels), nq)
+        z = _z_signs(nq)
         identity = np.eye(dim)[None]
         if u.imag.any():
             k = np.concatenate((identity, (u * z[:, None, :]) @ u.conj().T))
@@ -358,6 +364,16 @@ class CostEvaluator:
         if len(k) > 1 + nq:
             self._im_circuits = self._re_circuits + (1 + nq) * n_terms
 
+    @cached_property
+    def _closed_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H, G) of `dense_cost`, built on its first call: the imaginary
+        parts of these Hermitian matrices are antisymmetric and cancel in
+        x^T M x for real x."""
+        nq, u = self.num_qubits, self.u
+        a = pauli.reconstruct(self.decomposition)
+        local = u @ np.diag(0.5 - sum(_z_signs(nq)) / (2.0 * nq)) @ u.conj().T
+        return np.real(a.conj().T @ local @ a), np.real(a.conj().T @ a)
+
     @property
     def term_count(self) -> int:
         return len(self.labels)
@@ -367,13 +383,14 @@ class CostEvaluator:
     def dense_cost(self, x: np.ndarray) -> float | np.ndarray:
         """Exact cost x^T H x / x^T G x of real amplitudes x (see module
         doc), over leading axes: (..., 2**Q) amplitudes give (...) costs."""
+        h, g = self._closed_form
         row, col = x[..., None, :], x[..., :, None]
-        denominator = (row @ self._g @ col)[..., 0, 0]
+        denominator = (row @ g @ col)[..., 0, 0]
         if denominator.min() < 1e-12:
             raise DegenerateStateError(
                 "norm of A|x(theta)> is numerically zero; cost undefined"
             )
-        return (row @ self._h @ col)[..., 0, 0] / denominator
+        return (row @ h @ col)[..., 0, 0] / denominator
 
     def local_cost(self, theta: np.ndarray, shots=None, rng=None) -> CostBreakdown:
         return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
@@ -580,47 +597,10 @@ def _b_preparation(system: problem.BlockSystem) -> sim.Circuit | np.ndarray:
     return (np.eye(dim) - 2.0 * np.outer(v, v) / vnorm2).astype(complex)
 
 
-# Distinct (spec, ansatz) builds one process keeps; a sweep over more
-# specs than this rebuilds the oldest.
-_BUILDS_KEPT = 16
-
-
-def _read_only(*objects) -> None:
-    """Make every array among `objects` and their attributes read-only."""
-    for obj in objects:
-        for value in (obj, *getattr(obj, "__dict__", {}).values()):
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-
-
-@lru_cache(maxsize=_BUILDS_KEPT)
 def _reference(spec: problem.ProblemSpec) -> tuple[problem.BlockSystem, np.ndarray]:
-    """The block system of `spec` and its classical solution as (n_t - 1, n)
-    fields, built once per process per spec, all arrays read-only."""
+    """The block system of `spec` and its classical solution as (n_t - 1, n) fields."""
     system = problem.build_block_system(spec)
-    classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
-    _read_only(system, classical)
-    return system, classical
-
-
-@lru_cache(maxsize=_BUILDS_KEPT)
-def _build(
-    spec: problem.ProblemSpec, ansatz: AnsatzConfig
-) -> tuple[problem.BlockSystem, np.ndarray, CostEvaluator, int]:
-    """`_reference(spec)`, the cost evaluator of (spec, ansatz) and its
-    full_sym circuits per evaluation, built once per process per (spec,
-    ansatz), all arrays read-only. A failed build raises on every call."""
-    system, classical = _reference(spec)
-    dim = system.a_reduced.shape[0]
-    if 2**ansatz.num_qubits != dim:
-        raise ValueError(
-            f"ansatz spans 2^{ansatz.num_qubits} amplitudes but the reduced "
-            f"system has dimension {dim}"
-        )
-    evaluator = CostEvaluator(pauli.decompose(system.a_reduced), ansatz, _b_preparation(system))
-    _read_only(evaluator)
-    circuits = circuit_count(ansatz.num_qubits, evaluator.term_count, "full_sym")
-    return system, classical, evaluator, circuits
+    return system, problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
 
 
 def solve(
@@ -649,14 +629,12 @@ def run_ensemble(
     i uses seed base_seed + i, and its record equals that of the member
     run alone.
 
-    The block system, decomposition, b-prep, evaluator and classical
-    reference are built once per process per (spec, ansatz) and shared,
-    read-only, by every later call on an equal spec and ansatz; the
-    arguments are checked on every call. Every member's local cost is
-    driven by `spsa.run_lockstep` from a uniformly random start in
-    [0, 2 pi)^P: the closed form when shots is None, else the sampled
-    term sum, one binomial draw per full_sym circuit. Each iteration costs
-    the (2, m, P) point stack of the m members still running with one
+    Builds the block system, decomposition, evaluator and classical
+    reference once, then drives every member's local cost with
+    `spsa.run_lockstep` from a uniformly random start in [0, 2 pi)^P: the
+    closed form when shots is None, else the sampled term sum, one
+    binomial draw per full_sym circuit. Each iteration costs the (2, m, P)
+    point stack of the m members still running with one
     `ansatz_amplitudes` call and one cost call. A member that hits the
     iteration cap is returned with converged=False. After the run every
     member's solution trace, (iterations + 1, n_t - 1, n), comes from one
@@ -686,7 +664,29 @@ def run_ensemble(
         ansatz = ansatz_for(spec)
     if spsa_cfg is None:
         spsa_cfg = DEFAULT_SPSA
-    system, classical, evaluator, circuits = _build(spec, ansatz)
+    return _run_ensemble(_reference(spec), ansatz, spsa_cfg, shots, base_seed, ensemble_size)
+
+
+def _run_ensemble(
+    reference: tuple[problem.BlockSystem, np.ndarray],
+    ansatz: AnsatzConfig,
+    spsa_cfg: spsa.SpsaConfig,
+    shots: int | None,
+    base_seed: int,
+    ensemble_size: int,
+) -> list[SolveRecord]:
+    """`run_ensemble` on the system and classical fields `_reference` built,
+    with its arguments already checked."""
+    system, classical = reference
+    spec = system.spec
+    dim = system.a_reduced.shape[0]
+    if 2**ansatz.num_qubits != dim:
+        raise ValueError(
+            f"ansatz spans 2^{ansatz.num_qubits} amplitudes but the reduced "
+            f"system has dimension {dim}"
+        )
+    decomposition = pauli.decompose(system.a_reduced)
+    evaluator = CostEvaluator(decomposition, ansatz, _b_preparation(system))
     seeds = [base_seed + i for i in range(ensemble_size)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     theta_init = np.array([rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params) for rng in rngs])
@@ -717,15 +717,19 @@ def run_ensemble(
     thetas = np.concatenate([theta for theta, _ in history])[np.argsort(owner, kind="stable")]
     fields = rescale_solution(ansatz_amplitudes(ansatz, thetas), system)
     traces = np.split(fields, np.cumsum([r.iterations + 1 for r in results])[:-1])
+    circuits = circuit_count(ansatz.num_qubits, decomposition.term_count, "full_sym")
+    # every member's final fields against the classical ones, per time level
+    finals = np.array([trace[-1] for trace in traces])
+    reference = np.broadcast_to(classical, finals.shape)
+    rmse = problem.rmse(finals, reference).tolist()
+    relative = problem.relative_error(finals, reference).tolist()
     records = []
-    for seed, result, solution_trace in zip(seeds, results, traces):
+    for seed, result, solution_trace, member_rmse, member_relative in zip(
+        seeds, results, traces, rmse, relative
+    ):
         u_fields = solution_trace[-1].copy()
         rmse_per_time = [
-            {
-                "t": (k + 1) * spec.dt,
-                "rmse": problem.rmse(u_fields[k], classical[k]),
-                "relative": problem.relative_error(u_fields[k], classical[k]),
-            }
+            {"t": (k + 1) * spec.dt, "rmse": member_rmse[k], "relative": member_relative[k]}
             for k in range(spec.n_t - 1)
         ]
         records.append(SolveRecord(

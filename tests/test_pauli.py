@@ -29,6 +29,27 @@ def trace_coordinates(matrix: np.ndarray) -> dict[str, complex]:
     return out
 
 
+def recursive_coordinates(block: np.ndarray, prefix: str = "", out=None) -> dict[str, complex]:
+    """Oracle for the exact bits of `decompose`: the same 2x2 block
+    transform, one sub-block at a time by recursion, skipping sub-blocks
+    that are all zero."""
+    out = {} if out is None else out
+    if block.shape[0] == 1:
+        if block[0, 0] != 0:
+            out[prefix] = complex(block[0, 0])
+        return out
+    h = block.shape[0] // 2
+    a, b, c, d = block[:h, :h], block[:h, h:], block[h:, :h], block[h:, h:]
+    for ch, sub in (("I", (a + d) * 0.5), ("X", (b + c) * 0.5), ("Y", (b - c) * 0.5j), ("Z", (a - d) * 0.5)):
+        if np.count_nonzero(sub):
+            recursive_coordinates(sub, prefix + ch, out)
+    return out
+
+
+def exact_bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
 REFERENCE_TERMS = {
     "III": 1.0,
     "XII": -0.3875,
@@ -68,6 +89,26 @@ class TestDecompose:
             assert set(d.labels) == set(oracle)
             for term in d.terms:
                 assert abs(term.coefficient - oracle[term.label]) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_qubits=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        real=st.booleans(),
+        zero_frac=st.sampled_from([0.0, 0.5, 0.9]),
+    )
+    def test_matches_recursive_peel_bit_for_bit(self, num_qubits, seed, real, zero_frac):
+        # every coefficient, signed zeros included, and the label order are
+        # those of the block-by-block recursion the array passes replace
+        rng = np.random.default_rng(seed)
+        dim = 2**num_qubits
+        a = rng.normal(size=(dim, dim)) + (0.0 if real else 1j * rng.normal(size=(dim, dim)))
+        a[rng.random(a.shape) < zero_frac] = 0.0
+        a[rng.random(a.shape) < 0.2] *= -0.0
+        oracle = recursive_coordinates(a.astype(complex))
+        d = decompose(a, prune_eps=0.0)
+        assert d.labels == sorted(oracle)
+        assert [exact_bits(t.coefficient) for t in d.terms] == [exact_bits(oracle[l]) for l in d.labels]
 
     def test_hermitian_matrix_has_real_coordinates(self):
         rng = np.random.default_rng(5)

@@ -136,8 +136,7 @@ class TestBlockSystem:
             ({"kappa": 0.0}, "vanishes for kappa=0.0"),
             ({"kappa": 1e-200}, "vanishes for kappa=1e-200"),   # its norm underflows
             ({"nu": 1e308}, "nu=1e+308"),                       # M overflows
-            ({"dt": 1e300}, "dt=1e+300"),                       # the solution overflows
-            ({"dt": 1e100}, "dt=1e+100"),                       # its norm overflows
+            ({"dt": 1e300}, "dt=1e+300"),                       # the norm of b overflows
             ({"nu": np.float64(1e308)}, "nu=1e+308"),
         ],
     )
@@ -148,6 +147,19 @@ class TestBlockSystem:
 
 
 class TestClassicalSolve:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": 1e100},              # its norm overflows
+            {"dt": 1e100, "n_t": 5},    # the solution itself overflows
+        ],
+    )
+    def test_overflowing_solution(self, kwargs):
+        # the system and b are finite; raised before any warning
+        system = build_block_system(ProblemSpec(**kwargs))
+        with pytest.raises(ValueError, match=re.escape("dt=1e+100") + ".*classical solution norm"):
+            classical_solve(system)
+
     def test_reference_fields(self):
         system = build_block_system(REFERENCE_SPEC)
         solution = classical_solve(system).reshape(2, 4)
@@ -220,6 +232,22 @@ class TestErrorMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rmse(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_leading_axes_match_vector_calls(self, n):
+        # each entry is the vector call's float, bit for bit
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(2, 3, 5, n))
+        assert type(rmse(a[0, 0], b[0, 0])) is float
+        assert type(relative_error(a[0, 0], b[0, 0])) is float
+        for metric in (rmse, relative_error):
+            assert metric(a, b).tolist() == [[metric(x, y) for x, y in zip(xs, ys)] for xs, ys in zip(a, b)]
+
+    def test_any_zero_reference_row_raises(self):
+        b = np.ones((2, 3))
+        b[1] = 0.0
+        with pytest.raises(ValueError, match="identically zero"):
+            relative_error(np.zeros((2, 3)), b)
 
     def test_zero_reference(self):
         with pytest.raises(ValueError):

@@ -547,8 +547,6 @@ class TestSolve:
         assert sampled.cost_trace != exact.cost_trace
 
     def test_exact_solve_decomposes_only_the_operator(self, monkeypatch):
-        # a cold build: an earlier test may have cached this spec's build
-        vqls._build.cache_clear()
         calls = []
         decompose = pauli.decompose
 
@@ -560,38 +558,39 @@ class TestSolve:
         solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=2, stop_rule="none"), seed=0)
         assert calls == [SYSTEM.a_reduced.shape]
 
-    def test_warm_solve_builds_nothing(self, monkeypatch, tmp_path):
+    @staticmethod
+    def count_calls(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def test_cli_solve_builds_the_system_once(self, monkeypatch, tmp_path):
+        # the reference CSVs and the ensemble share one block system and
+        # one classical solve
         calls = []
-
-        def counting(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(pauli, "decompose")
-        counting(problem, "build_block_system")
-        cfg = spsa.SpsaConfig(max_iter=2, stop_rule="none")
-        first = solve(SPEC, spsa_cfg=cfg, seed=0)
-        calls.clear()
-        # an equal spec, not the same object
-        second = solve(problem.ProblemSpec(), spsa_cfg=cfg, seed=0)
-        assert calls == []
-        assert second.to_dict() == first.to_dict()
-
-        # one `advqls solve` builds its system once, for the reference
-        # CSVs and the ensemble both
-        vqls._build.cache_clear()
-        vqls._reference.cache_clear()
+        for module, name in (
+            (problem, "build_block_system"), (problem, "classical_solve"), (pauli, "decompose")
+        ):
+            self.count_calls(monkeypatch, module, name, calls)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
             {"ensemble_size": 2, "spsa_overrides": {"max_iter": 2, "stop_rule": "none"}}
         ))
         assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
-        assert calls == ["build_block_system", "decompose"]
+        assert calls == ["build_block_system", "classical_solve", "decompose"]
+
+    @pytest.mark.parametrize("shots, builds", [(None, 1), (512, 0)])
+    def test_closed_form_built_only_for_exact_costs(self, monkeypatch, shots, builds):
+        # H and G come from the reconstructed operator on the first exact
+        # cost and are kept; shot mode never needs them
+        calls = []
+        self.count_calls(monkeypatch, pauli, "reconstruct", calls)
+        solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=3, stop_rule="none"), shots=shots, seed=0)
+        assert len(calls) == builds
 
     def test_trace_built_in_one_batched_call(self, monkeypatch):
         # one state per starting vector, one (2, m, P) batch per SPSA
@@ -767,69 +766,6 @@ class TestSolve:
             digests.append(proc.stdout.split())
         assert len(digests[0]) == 4
         assert digests[1] == digests[0]
-
-
-class TestBuildCache:
-    CFG = spsa.SpsaConfig(max_iter=3, stop_rule="none")
-
-    @staticmethod
-    def record_bytes(spec, shots=None, ansatz=None):
-        records = run_ensemble(
-            spec, ansatz, TestBuildCache.CFG, shots, base_seed=2, ensemble_size=2
-        )
-        return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
-
-    @pytest.mark.parametrize("shots", [None, 8192])
-    def test_equal_specs_share_one_build(self, shots):
-        vqls._build.cache_clear()
-        cold = self.record_bytes(SPEC, shots)
-        for same in (problem.ProblemSpec(kappa=2.0 * np.pi / 1.0), problem.ProblemSpec(n=np.int64(4))):
-            assert same == SPEC
-            hits = vqls._build.cache_info().hits
-            assert self.record_bytes(same, shots) == cold
-            assert vqls._build.cache_info().hits == hits + 1
-
-    def test_mismatched_ansatz_raises_on_every_call(self):
-        vqls._build.cache_clear()
-        for _ in range(2):
-            with pytest.raises(ValueError, match="dimension"):
-                self.record_bytes(SPEC, ansatz=AnsatzConfig(num_qubits=2, units=4))
-        # the failure cached nothing, and the spec still solves
-        assert vqls._build.cache_info().currsize == 0
-        assert len(self.record_bytes(SPEC)) == 2
-
-    @pytest.mark.parametrize("n, n_t", [(4, 3), (16, 3)])
-    def test_cached_arrays_are_read_only(self, n, n_t):
-        spec = problem.ProblemSpec(n=n, n_t=n_t)
-        before = self.record_bytes(spec, 8192)
-        system, classical, evaluator, _ = vqls._build(spec, vqls.ansatz_for(spec))
-        named = [getattr(system, name) for name in ("a_full", "a_reduced", "b_raw", "b_state", "u0")]
-        named += [
-            getattr(evaluator, name)
-            for name in (
-                "_h", "_g", "_k", "_weights", "_f_re", "_f_im",
-                "_re_circuits", "_perm", "_sign", "u", "coefficients",
-            )
-        ]
-        found = [
-            value
-            for obj in (system, evaluator)
-            for value in vars(obj).values()
-            if isinstance(value, np.ndarray)
-        ]
-        for array in [classical, *named, *found]:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0.0
-        assert self.record_bytes(spec, 8192) == before
-
-    def test_cache_is_bounded(self):
-        for cache in (vqls._build, vqls._reference):
-            maxsize = cache.cache_parameters()["maxsize"]
-            assert maxsize is not None
-            for i in range(maxsize + 2):
-                spec = problem.ProblemSpec(nu=0.01 + 0.001 * i)
-                run_ensemble(spec, ANSATZ, spsa.SpsaConfig(max_iter=0, stop_rule="none"), ensemble_size=1)
-            assert cache.cache_info().currsize <= maxsize
 
 
 class TestBPreparation:
