@@ -24,13 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pauli, problem, resources, spsa, vqls
+from . import _checks, pauli, problem, resources, spsa, vqls
 
 __all__ = ["RunConfig", "main"]
-
-
-def _is_int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass
@@ -48,26 +44,18 @@ class RunConfig:
     out_dir: str | None = None          # default when --out is not given
 
     def __post_init__(self):
-        lowest = {"ensemble_size": 1, "ansatz_units": 1, "base_seed": 0}
-        for name, low in lowest.items():
-            value = getattr(self, name)
-            if not _is_int_at_least(value, low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (_is_int_at_least(self.workers, 1) and self.workers == 1):
-            raise ValueError(
-                f"workers must be 1, got {self.workers!r}: ensemble members now run "
-                "in lockstep in one process"
-            )
+        # numbers are stored as plain Python numbers, so the manifest can hold them
+        _checks.fields(self, _checks.integer, "ensemble_size", "ansatz_units", low=1)
+        _checks.fields(self, _checks.integer, "base_seed", low=0)
+        self.workers = vqls._check_workers(self.workers)
+        if self.shots is not None:
+            self.shots = _checks.integer("shots", self.shots, 1, vqls.MAX_SHOTS)
         if not isinstance(self.classical_only, bool):
             raise ValueError(f"classical_only must be true or false, got {self.classical_only!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
-        if self.shots is not None and not (
-            _is_int_at_least(self.shots, 1) and self.shots <= vqls.MAX_SHOTS
-        ):
-            raise ValueError(
-                f"shots must be an integer in [1, 2**63 - 1], null or 'exact', got {self.shots!r}"
-            )
+        if not isinstance(self.spsa_overrides, Mapping):
+            raise ValueError(f"spsa_overrides must be a mapping, got {self.spsa_overrides!r}")
         known = {f.name for f in dataclasses.fields(spsa.SpsaConfig)}
         unknown = set(self.spsa_overrides) - known
         if unknown:
@@ -77,7 +65,9 @@ class RunConfig:
                 "spsa_overrides.seed has no effect: member i runs with seed "
                 "base_seed + i, so set base_seed instead"
             )
-        self.spsa_config()  # the override values pass SpsaConfig's own checks
+        # the override values pass SpsaConfig's own checks and keep its plain values
+        cfg = self.spsa_config()
+        self.spsa_overrides = {name: getattr(cfg, name) for name in self.spsa_overrides}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -157,13 +147,9 @@ def _resolve_out(cfg: RunConfig, args: argparse.Namespace) -> Path:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.15g}"
-    return str(value)
+    return str(value).lower()   # bools as true/false
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

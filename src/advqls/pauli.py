@@ -14,12 +14,12 @@ most significant bit of the state index (see `advqls.sim`).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from . import _checks
 
 __all__ = [
     "PauliTerm",
@@ -153,9 +153,7 @@ def decompose(matrix: np.ndarray, prune_eps: float = 1e-12) -> PauliDecompositio
     prune_eps must be a finite real number >= 0. The remaining terms are
     ordered lexicographically by label (I < X < Y < Z).
     """
-    real = isinstance(prune_eps, numbers.Real) and not isinstance(prune_eps, bool)
-    if not (real and 0.0 <= prune_eps < math.inf):
-        raise ValueError(f"prune_eps must be a finite real number >= 0, got {prune_eps!r}")
+    prune_eps = _checks.real("prune_eps", prune_eps, low=0)
     matrix = np.asarray(matrix, dtype=complex)
     num_qubits = _num_qubits(matrix)
     coords = _coordinates(matrix, num_qubits)

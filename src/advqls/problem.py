@@ -22,10 +22,11 @@ Fourier mode).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _checks
 
 __all__ = [
     "ProblemSpec",
@@ -66,30 +67,19 @@ class ProblemSpec:
     kappa: float | None = None
 
     def __post_init__(self):
-        for name in ("n", "n_t"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        reals = ("nu", "dt", "length") + (() if self.kappa is None else ("kappa",))
-        for name in reals:
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and -math.inf < value < math.inf):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 grid points, got n={self.n}")
-        if self.n_t < 2:
-            raise ValueError(f"need at least 2 time levels, got n_t={self.n_t}")
-        if self.dt <= 0:
-            raise ValueError(f"time step must be positive, got dt={self.dt}")
-        if self.nu < 0:
-            raise ValueError(f"diffusion coefficient must be >= 0, got nu={self.nu}")
-        if self.length <= 0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
-        if not 0.0 < _square(self.dx) < math.inf:
+        _checks.fields(self, _checks.integer, "n", "n_t", low=2)
+        _checks.fields(self, _checks.real, "nu", low=0)
+        _checks.fields(self, _checks.real, "dt", "length", positive=True)
+        if self.kappa is not None:
+            _checks.fields(self, _checks.real, "kappa")
+        try:
+            dx = self.dx
+        except OverflowError:   # an n beyond the float range
+            dx = 0.0
+        if not 0.0 < _square(dx) < math.inf:
             raise ValueError(
                 f"length={self.length} over n={self.n} points gives a grid spacing "
-                f"dx={self.dx} whose square is not a positive finite number"
+                f"dx={dx} whose square is not a positive finite number"
             )
         if self.kappa is None:
             object.__setattr__(self, "kappa", 2.0 * np.pi / self.length)

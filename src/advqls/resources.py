@@ -13,9 +13,9 @@ condition at the chosen grid spacing and maximum signal speed.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
+
+from . import _checks
 
 __all__ = [
     "ForecastConfig",
@@ -52,21 +52,9 @@ class ForecastConfig:
 
     def __post_init__(self):
         reals = ("horizontal_resolution_deg", "forecast_length_s", "u_max", "cfl", "km_per_degree")
-        for name in reals:
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and -math.inf < value < math.inf):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if self.horizontal_resolution_deg <= 0:
-            raise ValueError("resolution must be positive")
-        if self.tau < 1:
-            raise ValueError("truncation order tau must be >= 1")
-        if self.vertical_levels < 1 or self.prognostic_variables < 1:
-            raise ValueError("level and variable counts must be >= 1")
-        if self.forecast_length_s <= 0 or self.cfl <= 0 or self.km_per_degree <= 0:
-            raise ValueError("forecast length, CFL number and km/degree must be positive")
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
+        _checks.fields(self, _checks.real, *reals, positive=True)
+        integers = ("tau", "vertical_levels", "prognostic_variables")
+        _checks.fields(self, _checks.integer, *integers, low=1)
 
     def at_resolution(self, resolution_deg: float) -> "ForecastConfig":
         return replace(self, horizontal_resolution_deg=resolution_deg)

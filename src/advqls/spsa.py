@@ -18,12 +18,12 @@ is the one-vector case on a scalar cost.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import _checks
 
 __all__ = ["SpsaConfig", "SpsaResult", "gains", "step", "run", "run_lockstep"]
 
@@ -60,28 +60,15 @@ class SpsaConfig:
     stop_rule: str = "diff"
 
     def __post_init__(self):
-        for name in ("patience", "max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("alpha", "gamma", "A", "a", "c", "tol"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and -math.inf < value < math.inf):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if self.alpha <= 0 or self.gamma <= 0:
-            raise ValueError("alpha and gamma must be positive")
-        if self.c <= 0:
-            raise ValueError("perturbation size c must be positive")
+        _checks.fields(self, _checks.integer, "patience", low=1)
+        _checks.fields(self, _checks.integer, "max_iter", "seed", low=0)
+        _checks.fields(self, _checks.real, "alpha", "gamma", "c", positive=True)
+        _checks.fields(self, _checks.real, "A", "a", "tol")
         if self.A <= -1:
             # a_k = a / (k + 1 + A)^alpha needs k + 1 + A > 0 from k = 0
-            raise ValueError(f"stability offset A must be > -1, got {self.A!r}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+            raise ValueError(f"A must be > -1 (the stability offset), got {self.A!r}")
         if self.stop_rule not in _STOP_RULES:
-            raise ValueError(f"stop_rule must be one of {_STOP_RULES}")
+            raise ValueError(f"stop_rule must be one of {_STOP_RULES}, got {self.stop_rule!r}")
 
     def with_overrides(self, **kwargs) -> "SpsaConfig":
         return replace(self, **kwargs)

@@ -28,15 +28,16 @@ with w_c = |c_l c_l'|, doubled when l != l'.
 The term sum (`CostEvaluator.local_cost_of_state`) evaluates that form
 in real arithmetic. Every Pauli string is P_l = i^{nY_l} S_l, with nY_l
 its count of Y and S_l a real signed permutation, and the ansatz state
-x is real. So with Y = [S_l x]_l every constituent family is one real
-Gram product G = (Y K) Y^T, over K = I for beta and Re, Im of
-U Z_q U^dag for delta_q (Im only when U is complex), and circuit c reads
-r_c = Re(f_c) G_re - Im(f_c) G_im with f_c = e^{i phi} i^{nY_l' - nY_l}
-fixed per evaluator. Exact, the term sum is the independent oracle for
-the closed form below. Sampled, it runs the paper's Hadamard tests: each
-readout is 2k/shots - 1 from one binomial draw of `shots` ancilla
-outcomes, and one evaluation draws all of them in one call from a
-seeded generator the caller passes.
+x and the b-prep U are real. So with Y = [S_l x]_l every constituent
+family is one real Gram product G = (Y K) Y^T, over K = I for beta and
+U Z_q U^T for delta_q, and circuit c reads r_c = Re(f_c) G_c with
+f_c = e^{i phi} i^{nY_l' - nY_l}. These tables are built on the
+evaluator's first term-sum cost (exact mode never builds them). Exact,
+the term sum is the independent oracle for the closed form below.
+Sampled, it runs the paper's Hadamard tests: each readout is
+2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
+evaluation draws all of them in one call from a seeded generator the
+caller passes.
 
 Exact mode (`run_ensemble` with shots=None) evaluates the cost in closed form.
 The ansatz is real, so the cost is a ratio of two real quadratic forms,
@@ -69,7 +70,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import pauli, problem, sim, spsa
+from . import _checks, pauli, problem, sim, spsa
 
 __all__ = [
     "AnsatzConfig",
@@ -115,8 +116,7 @@ class AnsatzConfig:
     units: int = 4
 
     def __post_init__(self):
-        if self.num_qubits < 1 or self.units < 1:
-            raise ValueError("num_qubits and units must be >= 1")
+        _checks.fields(self, _checks.integer, "num_qubits", "units", low=1)
 
     @property
     def n_params(self) -> int:
@@ -294,20 +294,20 @@ def _signed_permutations(labels: tuple[str, ...], num_qubits: int):
 MAX_SHOTS = 2**63 - 1
 
 
-def _check_shots(shots) -> None:
-    if (
-        isinstance(shots, bool)
-        or not isinstance(shots, (int, np.integer))
-        or not 1 <= shots <= MAX_SHOTS
-    ):
-        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
+def _check_workers(workers) -> int:
+    if _checks.integer("workers", workers) != 1:
+        raise ValueError(
+            f"workers must be 1, got {workers!r}: ensemble members now run "
+            "in lockstep in one process"
+        )
+    return 1
 
 
 class CostEvaluator:
     """Evaluates the local cost for one (decomposition, ansatz, b-prep) triple.
 
-    `b_prep` may be a Circuit or a dense unitary; its action on |0...0>
-    must be the normalized right-hand side.
+    `b_prep` may be a Circuit or a dense unitary; it must be real, and its
+    action on |0...0> must be the normalized right-hand side.
     """
 
     def __init__(
@@ -334,35 +334,28 @@ class CostEvaluator:
             raise ValueError(f"b-prep unitary must be {dim}x{dim}, got {u.shape}")
         if np.abs(u.conj().T @ u - np.eye(dim)).max() > 1e-10:
             raise ValueError("b-prep operator is not unitary")
+        if u.imag.any():
+            raise ValueError("b_prep must be real: the readouts have no layers for Im(U Z_q U^dag)")
         self.u = u
         self.num_qubits = nq
-        # One Hadamard test per full_sym circuit: beta for l < l', then
-        # delta_q for l <= l', each with the weight w_c of its readout in
-        # the linear forms (see module doc).
-        n_terms = self.term_count
-        c = self.coefficients
+
+    @cached_property
+    def _readout_form(self) -> tuple:
+        """The tables of `local_cost_of_state`, built on its first call:
+        the signed permutations, the stack K, and per full_sym circuit Re
+        f_c, its entry (l, family, l') of the flat (L, F, L) Gram products
+        and its weight w_c, then the beta count and sum_l |c_l|^2."""
+        nq, n_terms, c, u = self.num_qubits, self.term_count, self.coefficients, self.u.real
         family, row, col = _circuit_tables(n_terms, nq)
-        self._beta_count = n_terms * (n_terms - 1) // 2
-        self._weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
-        self._norm2 = float(np.sum(np.abs(c) ** 2))
-        # Real form of the readouts (see `local_cost_of_state`): circuit c
-        # reads the entries (l, family, l') of the (L, F, L) Gram products.
-        self._perm, self._sign, n_y = _signed_permutations(tuple(self.labels), nq)
-        z = _z_signs(nq)
-        identity = np.eye(dim)[None]
-        if u.imag.any():
-            k = np.concatenate((identity, (u * z[:, None, :]) @ u.conj().T))
-            k = np.concatenate((k.real, k.imag))
-        else:
-            k = np.concatenate((identity, (u.real * z[:, None, :]) @ u.real.T))
-        self._k = k.transpose(1, 0, 2).reshape(dim, -1)
+        perm, sign, n_y = _signed_permutations(tuple(self.labels), nq)
+        k = np.concatenate((np.eye(2**nq)[None], (u * _z_signs(nq)[:, None, :]) @ u.T))
         phase = np.exp(1j * np.angle(np.outer(c.conj(), c)))
-        f = (phase * _I_POWERS[(n_y - n_y[:, None]) % 4])[row, col]
-        self._f_re, self._f_im = f.real, f.imag
-        self._re_circuits = (row * len(k) + family) * n_terms + col
-        self._im_circuits = None
-        if len(k) > 1 + nq:
-            self._im_circuits = self._re_circuits + (1 + nq) * n_terms
+        f = (phase * _I_POWERS[(n_y - n_y[:, None]) % 4])[row, col].real
+        circuits = (row * (1 + nq) + family) * n_terms + col
+        weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
+        k = k.transpose(1, 0, 2).reshape(2**nq, -1)
+        beta_count, norm2 = n_terms * (n_terms - 1) // 2, float(np.sum(np.abs(c) ** 2))
+        return perm, sign, k, f, circuits, weights, beta_count, norm2
 
     @cached_property
     def _closed_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -400,13 +393,12 @@ class CostEvaluator:
 
         With x = `amplitudes` and Y = [S_l x]_l (see module doc), the
         constituents are beta = i^{nY_l' - nY_l} Y Y^T and delta_q =
-        i^{nY_l' - nY_l} Y (Re M_q + i Im M_q) Y^T with M_q = U Z_q U^dag,
-        so one real Gram product G = (Y K) Y^T over the side-by-side stack
-        K = [I, Re M_q...] (then [0, Im M_q...] when U is complex) holds
-        them all. Circuit c, one beta_ll' with l < l' or delta_ll'^q with
-        l <= l' in that order, has e^{i phi} = c_l* c_l' / |c_l c_l'| on
-        its ancilla and reads r_c = Re(f_c) G_re - Im(f_c) G_im with
-        f_c = e^{i phi} i^{nY_l' - nY_l}.
+        i^{nY_l' - nY_l} Y M_q Y^T with the real M_q = U Z_q U^T, so one
+        real Gram product G = (Y K) Y^T over the side-by-side stack
+        K = [I, M_q...] holds them all. Circuit c, one beta_ll' with l < l'
+        or delta_ll'^q with l <= l' in that order, has e^{i phi} =
+        c_l* c_l' / |c_l c_l'| on its ancilla and reads r_c = Re(f_c) G_c
+        with f_c = e^{i phi} i^{nY_l' - nY_l}.
 
         Shot mode gives every circuit `shots` ancilla outcomes,
         k ~ Binomial(shots, (1 + r) / 2), all drawn in one call, and
@@ -422,7 +414,7 @@ class CostEvaluator:
         zero imaginary part.
         """
         if shots is not None:
-            _check_shots(shots)
+            shots = _checks.integer("shots", shots, 1, MAX_SHOTS)
             if rng is None:
                 raise ValueError("shot mode needs rng, a seeded generator or a list of them")
         x = np.asarray(amplitudes)
@@ -430,17 +422,15 @@ class CostEvaluator:
             if x.imag.any():
                 raise ValueError("amplitudes must be real: the ansatz state is real")
             x = x.real
-        y = x.take(self._perm, -1) * self._sign
+        perm, sign, k, f, circuits, weights, beta_count, norm2 = self._readout_form
+        y = x.take(perm, -1) * sign
         # contiguous, so that every row's product takes the same BLAS path
         # whatever batch it rides in
         y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
         # (..., L, F * D) -> (..., L * F, D) -> Gram products (..., L, F, L)
-        yk = y @ self._k
+        yk = y @ k
         gram = yk.reshape(yk.shape[:-2] + (-1, x.shape[-1])) @ y_t
-        flat = gram.reshape(gram.shape[:-2] + (-1,))
-        readouts = self._f_re * flat.take(self._re_circuits, -1)
-        if self._im_circuits is not None:
-            readouts -= self._f_im * flat.take(self._im_circuits, -1)
+        readouts = f * gram.reshape(gram.shape[:-2] + (-1,)).take(circuits, -1)
         if shots is not None:
             # rounding can put r a few ulps outside [-1, 1] near the solution
             p = np.minimum(np.maximum((1.0 + readouts) / 2.0, 0.0), 1.0)
@@ -451,13 +441,13 @@ class CostEvaluator:
             else:
                 counts = rng.binomial(shots, p)
             readouts = 2.0 * counts / shots - 1.0
-        weighted = self._weights * readouts
-        denominator = self._norm2 + weighted[..., : self._beta_count].sum(-1)
+        weighted = weights * readouts
+        denominator = norm2 + weighted[..., :beta_count].sum(-1)
         if denominator.min() < 1e-12:
             raise DegenerateStateError(
                 "norm of A|x(theta)> is numerically zero; cost undefined"
             )
-        numerator = weighted[..., self._beta_count :].sum(-1)
+        numerator = weighted[..., beta_count:].sum(-1)
         value = 0.5 - numerator / (2.0 * self.num_qubits * denominator)
         return CostBreakdown(value=value, readouts=readouts)
 
@@ -469,9 +459,8 @@ def circuit_count(num_qubits: int, n_terms: int, mode: str = "baseline") -> int:
     beta_sym drops the known beta diagonal and its conjugate half;
     full_sym additionally halves the off-diagonal deltas.
     """
-    if num_qubits < 1 or n_terms < 1:
-        raise ValueError("num_qubits and n_terms must be >= 1")
-    q, l = num_qubits, n_terms
+    q = _checks.integer("num_qubits", num_qubits, low=1)
+    l = _checks.integer("n_terms", n_terms, low=1)
     off_diag = l * (l - 1) // 2
     if mode == "baseline":
         return (q + 1) * l * l
@@ -651,15 +640,11 @@ def run_ensemble(
     without a config, SPSA runs with `DEFAULT_SPSA`. `workers` is
     accepted only at 1: every member runs in this process.
     """
-    if workers != 1:
-        raise ValueError(
-            f"workers must be 1, got {workers!r}: ensemble members now run "
-            "in lockstep in one process"
-        )
-    if ensemble_size < 1:
-        raise ValueError("ensemble_size must be >= 1")
+    _check_workers(workers)
+    ensemble_size = _checks.integer("ensemble_size", ensemble_size, low=1)
+    base_seed = _checks.integer("base_seed", base_seed, low=0)
     if shots is not None:
-        _check_shots(shots)
+        shots = _checks.integer("shots", shots, 1, MAX_SHOTS)
     if ansatz is None:
         ansatz = ansatz_for(spec)
     if spsa_cfg is None:

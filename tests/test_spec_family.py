@@ -138,7 +138,8 @@ def complex_product_readouts(evaluator, amplitudes):
 
 
 def random_unitary(dim, rng):
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    """A random real orthogonal matrix: the b-prep must be real."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q
 
 
@@ -146,7 +147,7 @@ def random_unitary(dim, rng):
 @given(spec=specs(), seed=st.integers(0, 2**32 - 1))
 def test_real_readouts_match_complex_products(spec, seed):
     # the real signed-permutation form against the dense complex products,
-    # with the spec's b-prep and with a random complex unitary one
+    # with the spec's b-prep and with a random real orthogonal one
     system = problem.build_block_system(spec)
     cfg = vqls.ansatz_for(spec)
     decomposition = pauli.decompose(system.a_reduced)
@@ -160,8 +161,8 @@ def test_real_readouts_match_complex_products(spec, seed):
 
 @pytest.mark.parametrize("num_qubits", range(1, 5))
 def test_real_readouts_match_complex_products_for_complex_operators(num_qubits):
-    # complex coefficients of every phase and a complex b-prep exercise
-    # both parts of every factor f_c
+    # complex coefficients of every phase exercise both parts of the
+    # phases that make up every factor f_c
     dim = 2**num_qubits
     rng = np.random.default_rng(num_qubits)
     decomposition = pauli.decompose(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))

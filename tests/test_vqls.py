@@ -431,6 +431,12 @@ class TestLocalCost:
         with pytest.raises(ValueError, match="no terms"):
             CostEvaluator(empty, ANSATZ, B_CIRCUIT)
 
+    def test_complex_b_prep_rejected(self):
+        # the readouts' real form has no layers for Im(U Z_q U^dag)
+        phases = np.diag(np.exp(1j * np.linspace(0.0, 1.0, 8)))
+        with pytest.raises(ValueError, match="b_prep must be real"):
+            CostEvaluator(DECOMP, ANSATZ, B_CIRCUIT.unitary() @ phases)
+
 
 class TestDenseCost:
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (16, 3)])
@@ -583,12 +589,22 @@ class TestSolve:
         assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
         assert calls == ["build_block_system", "classical_solve", "decompose"]
 
-    @pytest.mark.parametrize("shots, builds", [(None, 1), (512, 0)])
-    def test_closed_form_built_only_for_exact_costs(self, monkeypatch, shots, builds):
+    @pytest.mark.parametrize(
+        "shots, module, builder, builds",
+        [
+            pytest.param(None, pauli, "reconstruct", 1, id="None-1"),
+            pytest.param(512, pauli, "reconstruct", 0, id="512-0"),
+            pytest.param(None, vqls, "_signed_permutations", 0, id="None-readouts-0"),
+            pytest.param(512, vqls, "_signed_permutations", 1, id="512-readouts-1"),
+        ],
+    )
+    def test_closed_form_built_only_for_exact_costs(self, monkeypatch, shots, module, builder, builds):
         # H and G come from the reconstructed operator on the first exact
-        # cost and are kept; shot mode never needs them
+        # cost and are kept; shot mode never needs them. The readouts' real
+        # form (signed permutations, K, f_c, weights) is built on the first
+        # shot cost, and exact mode never needs it
         calls = []
-        self.count_calls(monkeypatch, pauli, "reconstruct", calls)
+        self.count_calls(monkeypatch, module, builder, calls)
         solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=3, stop_rule="none"), shots=shots, seed=0)
         assert len(calls) == builds
 
