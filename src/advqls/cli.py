@@ -86,6 +86,10 @@ class RunConfig:
                 raise ValueError(
                     f"problem must be a mapping of ProblemSpec fields, got {kwargs['problem']!r}"
                 )
+            fields = {f.name for f in dataclasses.fields(problem.ProblemSpec)}
+            unknown = set(kwargs["problem"]) - fields
+            if unknown:
+                raise ValueError(f"unknown problem keys: {sorted(unknown)}")
             kwargs["problem"] = problem.ProblemSpec(**kwargs["problem"])
         shots = kwargs.get("shots")
         if shots == "exact":

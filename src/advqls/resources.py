@@ -19,6 +19,7 @@ from . import _checks
 
 __all__ = [
     "ForecastConfig",
+    "MAX_TAU",
     "SweepRow",
     "SWEEP_CSV_HEADER",
     "cfl_timestep",
@@ -30,6 +31,11 @@ __all__ = [
 
 SECONDS_PER_DAY = 86_400.0
 
+# Largest truncation order accepted. Python prints an integer of at most
+# 4300 digits by default, and with tau <= 100 the dimension stays below
+# that on any grid of fewer than 10^42 unknowns per time level.
+MAX_TAU = 100
+
 SWEEP_CSV_HEADER = ["resolution_deg", "dt_s", "n_t", "n", "dimension", "qubits"]
 
 
@@ -38,7 +44,7 @@ class ForecastConfig:
     """Global forecast model shape driving the estimate.
 
     tau has no default on purpose: the truncation order dominates the
-    dimension and must be chosen explicitly.
+    dimension and must be chosen explicitly; it is capped at `MAX_TAU`.
     """
 
     horizontal_resolution_deg: float
@@ -53,8 +59,8 @@ class ForecastConfig:
     def __post_init__(self):
         reals = ("horizontal_resolution_deg", "forecast_length_s", "u_max", "cfl", "km_per_degree")
         _checks.fields(self, _checks.real, *reals, positive=True)
-        integers = ("tau", "vertical_levels", "prognostic_variables")
-        _checks.fields(self, _checks.integer, *integers, low=1)
+        _checks.fields(self, _checks.integer, "tau", low=1, high=MAX_TAU)
+        _checks.fields(self, _checks.integer, "vertical_levels", "prognostic_variables", low=1)
 
     def at_resolution(self, resolution_deg: float) -> "ForecastConfig":
         return replace(self, horizontal_resolution_deg=resolution_deg)

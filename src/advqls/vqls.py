@@ -31,8 +31,10 @@ its count of Y and S_l a real signed permutation, and the ansatz state
 x and the b-prep U are real. So with Y = [S_l x]_l every constituent
 family is one real Gram product G = (Y K) Y^T, over K = I for beta and
 U Z_q U^T for delta_q, and circuit c reads r_c = Re(f_c) G_c with
-f_c = e^{i phi} i^{nY_l' - nY_l}. These tables are built on the
-evaluator's first term-sum cost (exact mode never builds them). Exact,
+f_c = e^{i phi} i^{nY_l' - nY_l}. Where S_l^T K S_l' is antisymmetric
+the circuit reads 0 for every real x, and f_c is set to 0 so that it
+reads exactly 0. These tables are built on the evaluator's first
+term-sum cost (exact mode never builds them). Exact,
 the term sum is the independent oracle for the closed form below.
 Sampled, it runs the paper's Hadamard tests: each readout is
 2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
@@ -47,7 +49,11 @@ The ansatz is real, so the cost is a ratio of two real quadratic forms,
 
 with H and G built on the evaluator's first exact cost (shot mode never
 builds them), and the state comes from `ansatz_amplitudes` without the
-gate interpreter.
+gate interpreter. Each ansatz unit's real operator, the Ry layer times
+the fixed H/CZ entangler W, is linear in the unit's 2**Q products of
+cos/sin half angles, so one matmul of those products with a cached
+(2**Q, 4**Q) table gives every unit's operator; the table holds 8**Q
+doubles (4 KB at Q = 3, 256 KB at Q = 5, 16 MB at Q = 7).
 
 `ansatz_amplitudes`, `rescale_solution`, `CostEvaluator.dense_cost`
 and `CostEvaluator.local_cost_of_state` work over leading axes: (..., P)
@@ -181,29 +187,35 @@ def _entangler(num_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ry_layer_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables of the Ry-layer Kronecker product (read-only, cached).
+def _unit_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cos/sin pick table and the linear unit table (read-only, cached).
 
-    With c_q, s_q the cos and sin of qubit q's half angle, the product's
-    entry (i, j) is sign(i, j) * coef[i ^ j], where coef[m] multiplies
-    s_q for each bit q set in m and c_q for each bit clear (qubit 0 the
-    top bit), and sign(i, j) = -1 for an odd count of qubits with
-    i_q = 0, j_q = 1 (the -s corner of Ry). `pick[q, m]` indexes the
-    factor of qubit q in coef[m] within the concatenated (c, s);
-    `gather[i, j]` indexes entry (i, j) within the concatenated
-    (coef, -coef).
+    With c_q, s_q the cos and sin of qubit q's half angle, coef[m]
+    multiplies s_q for each bit q set in m and c_q for each bit clear
+    (qubit 0 the top bit); `pick[q, m]` indexes the factor of qubit q in
+    coef[m] within the concatenated (c, s). The Ry-layer product R has
+    entry (i, j) = sign(i, j) * coef[i ^ j], with sign(i, j) = -1 for an
+    odd count of qubits with i_q = 0, j_q = 1 (the -s corner of Ry). So
+    the unit operator R W is linear in coef,
+
+        (R W)[i, k] = sum_m coef[m] * sign(i, i ^ m) * W[i ^ m, k],
+
+    and `table[m, i * 2**Q + k]` holds sign(i, i ^ m) * W[i ^ m, k]: a
+    (2**Q, 4**Q) table, 8**Q doubles (4 KB at Q = 3, 256 KB at Q = 5,
+    16 MB at Q = 7), with R W = (coef @ table).reshape(2**Q, 2**Q).
     """
     idx = np.arange(2**num_qubits)
     bits = (idx >> (num_qubits - 1 - np.arange(num_qubits)[:, None])) & 1
     pick = np.arange(num_qubits)[:, None] + num_qubits * bits
-    flips = ~idx[:, None] & idx
+    col = idx[:, None] ^ idx           # col[m, i] = i ^ m
+    flips = ~idx & col
     parity = np.zeros_like(flips)
     for q in range(num_qubits):
         parity ^= (flips >> q) & 1
-    gather = (idx[:, None] ^ idx) + (parity << num_qubits)
-    for table in (pick, gather):
-        table.setflags(write=False)
-    return pick, gather
+    table = ((1.0 - 2.0 * parity)[..., None] * _entangler(num_qubits)[col]).reshape(idx.size, -1)
+    for t in (pick, table):
+        t.setflags(write=False)
+    return pick, table
 
 
 def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
@@ -211,19 +223,21 @@ def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
 
     Maps (..., P) angles to (..., 2**Q) amplitudes. Every unit's real
     2**Q x 2**Q operator, the Ry-layer product times the cached
-    entangler, is built at once: one gather of all units' 2**Q cos/sin
-    product coefficients (`_ry_layer_tables`) and one stacked matmul.
-    The first unit acts on |0...0>, so its output is column 0 of its
-    operator; the later units follow as a stack of matrix-vector
-    products, so no row's bits depend on the batch.
+    entangler, is linear in the unit's 2**Q cos/sin product
+    coefficients, so all units' operators come from one matmul of those
+    coefficients with the cached (2**Q, 4**Q) table of `_unit_tables`,
+    whose M dimension is the unit axis. The first unit acts on
+    |0...0>, so its output is column 0 of its operator; the later units
+    follow as a stack of matrix-vector products, so no row's bits depend
+    on the batch.
     """
     nq = cfg.num_qubits
     theta = _angles(cfg, theta)
     half = theta.reshape(-1, cfg.units, nq) / 2.0
-    pick, gather = _ry_layer_tables(nq)
+    pick, table = _unit_tables(nq)
     factors = np.concatenate((np.cos(half), np.sin(half)), -1).take(pick, -1)
     coef = np.multiply.reduce(factors, axis=-2)
-    ops = np.concatenate((coef, -coef), -1).take(gather, -1) @ _entangler(nq)
+    ops = (coef @ table).reshape(half.shape[:2] + (2**nq, 2**nq))
     x = ops[:, 0, :, :1]
     for u in range(1, cfg.units):
         x = ops[:, u] @ x
@@ -290,6 +304,35 @@ def _signed_permutations(labels: tuple[str, ...], num_qubits: int):
     return perm, sign, n_y
 
 
+def _antisymmetric_circuits(k, perm, sign, family, row, col) -> np.ndarray:
+    """Mask of the full_sym circuits whose S_l^T K_f S_l' is antisymmetric.
+
+    Such a circuit reads x^T S_l^T K_f S_l' x = 0 for every real x. The
+    matrix is antisymmetric exactly when K_f Q is, with the signed
+    permutation Q = S_l' S_l^T = +-X^a Z^b, where a and b are the X-or-Y
+    and Z-or-Y masks of the product of strings l and l'. So each distinct
+    (f, a, b) is tested once, to 1e-12, on one of its circuits:
+    (K_f Q)[i, j] = K_f[i, j ^ a] sign[l', j ^ a] sign[l, j].
+    """
+    dim = perm.shape[1]
+    nq = dim.bit_length() - 1
+    idx, bit = np.arange(dim), 1 << (nq - 1 - np.arange(nq))
+    # sign[l, i] = +-(-1)^{|b_l & i|}, so bit q of b_l flips sign[l, 0]
+    x_mask, z_mask = perm[:, 0], (sign[:, bit] != sign[:, :1]) @ bit
+    keys = (family * dim + (x_mask[row] ^ x_mask[col])) * dim + (z_mask[row] ^ z_mask[col])
+    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+    fam, l, lp = family[first], row[first], col[first]
+    cols = idx ^ (x_mask[l] ^ x_mask[lp])[:, None]
+    signs = sign[lp[:, None], cols] * sign[l]
+    antisymmetric = np.empty(first.size, dtype=bool)
+    step = max(1, 2**20 // dim**2)   # about 8 MB per (step, dim, dim) array
+    for start in range(0, first.size, step):
+        t = slice(start, start + step)
+        m = k[fam[t, None, None], idx[:, None], cols[t, None, :]] * signs[t, None, :]
+        antisymmetric[t] = np.abs(m + m.swapaxes(1, 2)).max((1, 2)) < 1e-12
+    return antisymmetric[where]
+
+
 # `Generator.binomial` takes shot counts as int64
 MAX_SHOTS = 2**63 - 1
 
@@ -343,14 +386,17 @@ class CostEvaluator:
     def _readout_form(self) -> tuple:
         """The tables of `local_cost_of_state`, built on its first call:
         the signed permutations, the stack K, and per full_sym circuit Re
-        f_c, its entry (l, family, l') of the flat (L, F, L) Gram products
-        and its weight w_c, then the beta count and sum_l |c_l|^2."""
+        f_c (0 for the circuits of `_antisymmetric_circuits`, which then
+        read exactly 0), its entry (l, family, l') of the flat (L, F, L)
+        Gram products and its weight w_c, then the beta count and
+        sum_l |c_l|^2."""
         nq, n_terms, c, u = self.num_qubits, self.term_count, self.coefficients, self.u.real
         family, row, col = _circuit_tables(n_terms, nq)
         perm, sign, n_y = _signed_permutations(tuple(self.labels), nq)
         k = np.concatenate((np.eye(2**nq)[None], (u * _z_signs(nq)[:, None, :]) @ u.T))
         phase = np.exp(1j * np.angle(np.outer(c.conj(), c)))
         f = (phase * _I_POWERS[(n_y - n_y[:, None]) % 4])[row, col].real
+        f[_antisymmetric_circuits(k, perm, sign, family, row, col)] = 0.0
         circuits = (row * (1 + nq) + family) * n_terms + col
         weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
         k = k.transpose(1, 0, 2).reshape(2**nq, -1)

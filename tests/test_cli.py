@@ -364,6 +364,7 @@ class TestErrorContract:
             ({"problem": {"dt": 1e300}}, [], "dt=1e+300"),
             ({"problem": {"length": 1e-320}}, [], "length=1e-320"),
             ({"problem": {"kappa": 1e308}}, [], "kappa must have a finite square"),
+            ({"problem": {"x": 1}}, [], "unknown problem keys: ['x']"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):
@@ -395,6 +396,7 @@ class TestErrorContract:
             (["--forecast-days", "nan"], "forecast_length_s must be a finite real number"),
             (["--cfl", "nan"], "cfl must be a finite real number"),
             (["--km-per-degree", "inf"], "km_per_degree must be a finite real number"),
+            (["--tau", "2000"], "tau must be an integer in [1, 100], got 2000"),
         ],
     )
     def test_invalid_estimate_fails_before_writing(self, tmp_path, capsys, flags, message):

@@ -83,7 +83,7 @@ class TestAnsatz:
         with pytest.raises(ValueError, match="angles"):
             ansatz_amplitudes(ANSATZ, np.zeros(7))
 
-    @pytest.mark.parametrize("num_qubits", range(1, 6))
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
     @pytest.mark.parametrize("units", range(1, 5))
     def test_real_amplitudes_match_circuit(self, num_qubits, units):
         # and each row of a batch is byte-equal to its single-theta call
@@ -101,6 +101,19 @@ class TestAnsatz:
         grid = ansatz_amplitudes(cfg, thetas[:24].reshape(4, 6, cfg.n_params))
         assert grid.shape == (4, 6, 2**num_qubits)
         assert grid.tobytes() == single[:24].tobytes()
+
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_unit_tables_cached_and_read_only(self, num_qubits):
+        tables = vqls._unit_tables(num_qubits)
+        assert vqls._unit_tables(num_qubits) is tables
+        pick, table = tables
+        assert pick.shape == (num_qubits, 2**num_qubits)
+        assert table.shape == (2**num_qubits, 4**num_qubits)
+        assert table.nbytes == 8 * 8**num_qubits
+        for array in tables:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
 
 
 def full_sym_circuits(num_qubits, n_terms):
@@ -162,6 +175,30 @@ def _spec_evaluator(n, n_t):
     system = problem.build_block_system(problem.ProblemSpec(n=n, n_t=n_t))
     cfg = AnsatzConfig(num_qubits=system.b_state.size.bit_length() - 1, units=4)
     return CostEvaluator(pauli.decompose(system.a_reduced), cfg, vqls._b_preparation(system)), cfg
+
+
+@pytest.mark.parametrize("n, n_t, pinned", [(4, 3, 10), (4, 5, 187), (16, 3, 128)])
+def test_antisymmetric_circuits_read_exactly_zero(n, n_t, pinned):
+    # oracle: circuit c reads x^T C x with C = P_l K P_l' built from dense
+    # Pauli matrices (K = I for beta, U Z_q U^T for delta_q), which is 0 for
+    # every real x exactly when C + C^T vanishes; those circuits must read
+    # 0.0, every other circuit something else on some of 200 random states
+    ev, cfg = _spec_evaluator(n, n_t)
+    nq, u = cfg.num_qubits, ev.u.real
+    stack = [np.eye(2**nq)] + [
+        u @ pauli.label_matrix("I" * q + "Z" + "I" * (nq - 1 - q)).real @ u.T for q in range(nq)
+    ]
+    dense = [pauli.label_matrix(label) for label in ev.labels]
+    zero = []
+    for q, l, lp in full_sym_circuits(nq, ev.term_count):
+        c = dense[l] @ stack[0 if q is None else 1 + q] @ dense[lp]
+        zero.append(np.abs(c + c.T).max() < 1e-12)
+    zero = np.array(zero)
+    assert zero.sum() == pinned
+    x = np.random.default_rng(n).standard_normal((200, 2**nq))
+    readouts = ev.local_cost_of_state(x / np.linalg.norm(x, axis=1, keepdims=True)).readouts
+    assert (readouts[:, zero] == 0.0).all()
+    assert (readouts[:, ~zero] != 0.0).any(0).all()
 
 
 class ExpectedCounts:
