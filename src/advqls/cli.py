@@ -5,10 +5,13 @@ trace (per-iteration CSV for one ensemble member), decompose (Pauli
 expansion of a matrix file), circuits (circuit-count sweep over term
 counts), estimate (forecast-scale qubit resources).
 
-Every command takes a --out directory, writes fixed-name files plus a
-manifest_<command>.json echoing its effective configuration, and is
-deterministic for a given configuration. Failures print one JSON line to
-stderr and exit nonzero.
+Every command takes a --out directory and is deterministic for a given
+configuration. A command only computes: it returns its output directory
+and a mapping of fixed file names to their text, among them a
+manifest_<command>.json echoing its effective configuration. `main` is
+the one writer. It creates the directory and writes the files only after
+the command has returned, so a command that fails creates no directory
+and writes no file; it prints one JSON line to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from collections.abc import Mapping
@@ -156,71 +160,55 @@ def _fmt(value) -> str:
     return str(value).lower()   # bools as true/false
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _csv(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
+def _manifest(command: str, config: dict) -> dict[str, str]:
     payload = {"command": command, "config": config}
-    with open(out_dir / f"manifest_{command}.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return {f"manifest_{command}.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"}
 
 
-def _member_path(out_dir: Path, member: int) -> Path:
-    return out_dir / f"member_{member:03d}.json"
+Files = tuple[Path, dict[str, str]]
 
 
-def _write_reference_csvs(
-    out_dir: Path, system: problem.BlockSystem, classical: np.ndarray
-) -> None:
-    spec = system.spec
-    header = ["x"] + [f"u_t{k}" for k in range(spec.n_t)]
-    classical_rows = [
-        [x, system.u0[j]] + [classical[k][j] for k in range(spec.n_t - 1)]
-        for j, x in enumerate(spec.grid)
-    ]
-    _write_csv(out_dir / "classical_reference.csv", header, classical_rows)
-    analytic = [problem.analytic_solution(spec, k * spec.dt) for k in range(spec.n_t)]
-    analytic_rows = [
-        [x] + [analytic[k][j] for k in range(spec.n_t)] for j, x in enumerate(spec.grid)
-    ]
-    _write_csv(out_dir / "analytic_reference.csv", header, analytic_rows)
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> Files:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     cfg = _apply_cli_overrides(cfg, args)
     out_dir = _resolve_out(cfg, args)
-    ansatz = None if cfg.classical_only else cfg.ansatz()
     spec = cfg.problem
     system, classical = reference = vqls._reference(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "solve", cfg.to_dict())
-    _write_reference_csvs(out_dir, system, classical)
+    files = _manifest("solve", cfg.to_dict())
+    header = ["x"] + [f"u_t{k}" for k in range(spec.n_t)]
+    files["classical_reference.csv"] = _csv(header, [
+        [x, system.u0[j]] + [classical[k][j] for k in range(spec.n_t - 1)]
+        for j, x in enumerate(spec.grid)
+    ])
+    analytic = [problem.analytic_solution(spec, k * spec.dt) for k in range(spec.n_t)]
+    files["analytic_reference.csv"] = _csv(header, [
+        [x] + [analytic[k][j] for k in range(spec.n_t)] for j, x in enumerate(spec.grid)
+    ])
     if cfg.classical_only:
-        return 0
+        return out_dir, files
 
     # RunConfig has checked what run_ensemble would; reuse the reference
     records = vqls._run_ensemble(
-        reference, ansatz, cfg.spsa_config(), cfg.shots, cfg.base_seed, cfg.ensemble_size
+        reference, cfg.ansatz(), cfg.spsa_config(), cfg.shots, cfg.base_seed, cfg.ensemble_size
     )
     for i, record in enumerate(records):
-        with open(_member_path(out_dir, i), "w", encoding="utf-8") as fh:
-            # dumps takes the C encoder; json.dump would run the Python one
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        files[f"member_{i:03d}.json"] = json.dumps(record.to_dict(), sort_keys=True) + "\n"
 
     mean_fields = vqls.ensemble_mean_fields(records)
     header = ["x"] + [f"u_t{k}_mean" for k in range(1, spec.n_t)]
-    mean_rows = [
+    files["ensemble_mean.csv"] = _csv(header, [
         [x] + [mean_fields[k - 1][j] for k in range(1, spec.n_t)]
         for j, x in enumerate(spec.grid)
-    ]
-    _write_csv(out_dir / "ensemble_mean.csv", header, mean_rows)
+    ])
 
     summary_rows = []
     for i, record in enumerate(records):
@@ -235,22 +223,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 problem.relative_error(mean_fields[k], classical[k]),
             ]
         )
-    _write_csv(
-        out_dir / "rmse_summary.csv",
-        ["member", "t_s", "rmse", "relative_error"],
-        summary_rows,
-    )
-    return 0
+    files["rmse_summary.csv"] = _csv(["member", "t_s", "rmse", "relative_error"], summary_rows)
+    return out_dir, files
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> Files:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     cfg = _apply_cli_overrides(cfg, args)
     out_dir = _resolve_out(cfg, args)
     member = args.member
     if member < 0 or member >= cfg.ensemble_size:
         raise ValueError(f"member {member} outside ensemble of {cfg.ensemble_size}")
-    record_path = _member_path(out_dir, member)
+    record_path = out_dir / f"member_{member:03d}.json"
     if not record_path.exists():
         raise FileNotFoundError(
             f"missing member record {record_path}; run `solve` into this directory first"
@@ -259,6 +243,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         record = vqls.SolveRecord.from_dict(json.load(fh))
 
     spec = cfg.problem
+    # a record holds no spec fields; the shape of its trace is what can be checked
+    expected = (len(record.cost_trace), spec.n_t - 1, spec.n)
+    if record.solution_trace.shape != expected:
+        raise ValueError(
+            f"member record {record_path} holds a solution_trace of shape "
+            f"{record.solution_trace.shape}, but the config's spec needs {expected}; "
+            "pass the config the record was solved with"
+        )
     _, classical = vqls._reference(spec)
     sol_cols = [f"u_t{k}_g{j + 1}" for k in range(1, spec.n_t) for j in range(spec.n)]
     ref_cols = [f"ref_t{k}_g{j + 1}" for k in range(1, spec.n_t) for j in range(spec.n)]
@@ -269,10 +261,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         fields = record.solution_trace[it]
         values = [fields[k - 1][j] for k in range(1, spec.n_t) for j in range(spec.n)]
         rows.append([it, cost] + values + ref_values)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "trace", {**cfg.to_dict(), "member": member})
-    _write_csv(out_dir / f"trace_member_{member:03d}.csv", header, rows)
-    return 0
+    files = _manifest("trace", {**cfg.to_dict(), "member": member})
+    files[f"trace_member_{member:03d}.csv"] = _csv(header, rows)
+    return out_dir, files
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -287,21 +278,15 @@ def _load_matrix(path: str) -> np.ndarray:
     return np.loadtxt(p, delimiter=",", dtype=float)
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> Files:
     matrix = _load_matrix(args.matrix)
     decomposition = pauli.decompose(matrix, prune_eps=args.prune_eps)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(
-        out_dir, "decompose", {"matrix": str(args.matrix), "prune_eps": args.prune_eps}
-    )
-    with open(out_dir / "decomposition.json", "w", encoding="utf-8") as fh:
-        json.dump(decomposition.to_records(), fh, indent=2)
-        fh.write("\n")
-    return 0
+    files = _manifest("decompose", {"matrix": str(args.matrix), "prune_eps": args.prune_eps})
+    files["decomposition.json"] = json.dumps(decomposition.to_records(), indent=2) + "\n"
+    return Path(args.out), files
 
 
-def cmd_circuits(args: argparse.Namespace) -> int:
+def cmd_circuits(args: argparse.Namespace) -> Files:
     modes = args.modes.split(",")
     if args.l_min < 1 or args.l_max < args.l_min:
         raise ValueError("need 1 <= l-min <= l-max")
@@ -315,19 +300,21 @@ def cmd_circuits(args: argparse.Namespace) -> int:
             count = vqls.circuit_count(args.qubits, l, mode)
             row += [count, vqls.is_submittable(count)]
         rows.append(row)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(
-        out_dir,
+    files = _manifest(
         "circuits",
         {"qubits": args.qubits, "l_min": args.l_min, "l_max": args.l_max, "modes": modes},
     )
-    _write_csv(out_dir / "circuits.csv", header, rows)
-    return 0
+    files["circuits.csv"] = _csv(header, rows)
+    return Path(args.out), files
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    resolutions = [float(r) for r in args.resolutions.split(",")]
+def cmd_estimate(args: argparse.Namespace) -> Files:
+    try:
+        resolutions = [float(r) for r in args.resolutions.split(",")]
+    except ValueError as exc:  # float names the bad entry
+        raise ValueError(
+            f"--resolutions must be comma-separated numbers, got {args.resolutions!r} ({exc})"
+        ) from None
     cfg = resources.ForecastConfig(
         horizontal_resolution_deg=resolutions[0],
         tau=args.tau,
@@ -339,19 +326,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         km_per_degree=args.km_per_degree,
     )
     rows = resources.sweep(cfg, resolutions)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(
-        out_dir,
-        "estimate",
-        {**dataclasses.asdict(cfg), "resolutions": resolutions},
-    )
-    _write_csv(
-        out_dir / "estimate.csv",
-        resources.SWEEP_CSV_HEADER,
-        [row.as_csv_row() for row in rows],
-    )
-    return 0
+    files = _manifest("estimate", {**dataclasses.asdict(cfg), "resolutions": resolutions})
+    files["estimate.csv"] = _csv(resources.SWEEP_CSV_HEADER, [row.as_csv_row() for row in rows])
+    return Path(args.out), files
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,10 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out_dir, files = args.func(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            # newline="" keeps the CSV rows' \r\n and the JSON's \n as they are
+            with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
     except Exception as exc:  # single machine-readable failure line
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

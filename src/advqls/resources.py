@@ -20,6 +20,7 @@ from . import _checks
 __all__ = [
     "ForecastConfig",
     "MAX_TAU",
+    "MAX_DIMENSION_BITS",
     "SweepRow",
     "SWEEP_CSV_HEADER",
     "cfl_timestep",
@@ -31,10 +32,11 @@ __all__ = [
 
 SECONDS_PER_DAY = 86_400.0
 
-# Largest truncation order accepted. Python prints an integer of at most
-# 4300 digits by default, and with tau <= 100 the dimension stays below
-# that on any grid of fewer than 10^42 unknowns per time level.
+# Largest truncation order accepted.
 MAX_TAU = 100
+
+# Integers below 2^14284 have at most the 4300 digits Python prints by default.
+MAX_DIMENSION_BITS = 14_284
 
 SWEEP_CSV_HEADER = ["resolution_deg", "dt_s", "n_t", "n", "dimension", "qubits"]
 
@@ -123,9 +125,21 @@ def sweep(cfg_template: ForecastConfig, resolutions: list[float]) -> list[SweepR
     rows = []
     for resolution in resolutions:
         cfg = cfg_template.at_resolution(resolution)
-        dt, n_t = cfl_timestep(cfg)
-        n = grid_points(cfg)
-        dimension = vector_dimension(n, cfg.tau, n_t)
+        try:
+            dt, n_t = cfl_timestep(cfg)
+            n = grid_points(cfg)
+            dimension = vector_dimension(n, cfg.tau, n_t)
+        except OverflowError:
+            raise ValueError(
+                f"resolution {resolution} deg is too fine: its grid overflows a float"
+            ) from None
+        except ValueError as exc:  # e.g. a grid coarser than one cell
+            raise ValueError(f"resolution {resolution} deg: {exc}") from None
+        if dimension.bit_length() > MAX_DIMENSION_BITS:
+            raise ValueError(
+                f"resolution {resolution} deg gives a dimension too long to print "
+                f"({dimension.bit_length()} bits, at most {MAX_DIMENSION_BITS})"
+            )
         rows.append(
             SweepRow(
                 resolution_deg=resolution,

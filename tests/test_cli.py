@@ -78,6 +78,36 @@ class TestSolveCommand:
             assert (out1 / name).exists(), name
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command", ["trace", "decompose", "circuits", "estimate"])
+    def test_command_outputs_repeat(self, tmp_path, command):
+        config = write_config(tmp_path)
+        matrix_path = tmp_path / "a_reduced.npy"
+        np.save(matrix_path, problem.build_block_system(problem.ProblemSpec()).a_reduced)
+        argvs, expected = {
+            "trace": (
+                [["solve", "--config", config], ["trace", "--config", config, "--member", "1"]],
+                ["manifest_trace.json", "trace_member_001.csv"],
+            ),
+            "decompose": (
+                [["decompose", "--matrix", str(matrix_path)]],
+                ["manifest_decompose.json", "decomposition.json"],
+            ),
+            "circuits": ([["circuits", "--l-max", "60"]], ["manifest_circuits.json", "circuits.csv"]),
+            "estimate": (
+                [["estimate", "--tau", "3", "--resolutions", "5,1,0.25"]],
+                ["manifest_estimate.json", "estimate.csv"],
+            ),
+        }[command]
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        for out in (out1, out2):
+            for argv in argvs:
+                assert main([*argv, "--out", str(out)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert set(expected) <= set(names)
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_shot_run_on_large_spec_repeats(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -397,6 +427,11 @@ class TestErrorContract:
             (["--cfl", "nan"], "cfl must be a finite real number"),
             (["--km-per-degree", "inf"], "km_per_degree must be a finite real number"),
             (["--tau", "2000"], "tau must be an integer in [1, 100], got 2000"),
+            (["--resolutions", ""], "--resolutions must be comma-separated numbers, got ''"),
+            (["--resolutions", "5,abc"], "--resolutions must be comma-separated numbers, got '5,abc'"),
+            (["--tau", "100", "--resolutions", "1e-30"], "resolution 1e-30 deg gives a dimension too long to print"),
+            (["--resolutions", "5,1e-320"], "resolution 1e-320 deg is too fine"),
+            (["--resolutions", "400"], "resolution 400.0 deg: need n >= 2"),
         ],
     )
     def test_invalid_estimate_fails_before_writing(self, tmp_path, capsys, flags, message):
@@ -409,3 +444,29 @@ class TestErrorContract:
         assert parsed["error"] == "ValueError"
         assert message in parsed["message"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "trace", "decompose", "circuits", "estimate"])
+    def test_failed_command_creates_nothing(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "trace":
+            # trace reads its record from --out: one solved on n = 8, traced
+            # under the n = 4 spec
+            config = write_config(tmp_path, problem={"n": 8}, ensemble_size=1)
+            assert main(["solve", "--config", config, "--out", str(out)]) == 0
+            capsys.readouterr()
+        matrix_path = tmp_path / "matrix.csv"
+        np.savetxt(matrix_path, np.eye(4), delimiter=",")
+        argv = {
+            "solve": ["solve", "--config", write_config(tmp_path, problem={"n": 3})],
+            "trace": ["trace", "--member", "0"],
+            "decompose": ["decompose", "--matrix", str(matrix_path), "--prune-eps=nan"],
+            "circuits": ["circuits", "--modes", "bogus"],
+            "estimate": ["estimate", "--tau", "100", "--resolutions", "1e-30"],
+        }[command]
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert out.exists() == (command == "trace")
