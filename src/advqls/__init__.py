@@ -26,7 +26,6 @@ from .vqls import (
     SolveRecord,
     ansatz_state,
     circuit_count,
-    extract_solution,
     run_ensemble,
     solve,
 )

@@ -11,7 +11,8 @@ and a mapping of fixed file names to their text, among them a
 manifest_<command>.json echoing its effective configuration. `main` is
 the one writer. It creates the directory and writes the files only after
 the command has returned, so a command that fails creates no directory
-and writes no file; it prints one JSON line to stderr and exits 1.
+and writes no file; it prints one JSON line to stderr and exits 1. An
+argument that argparse rejects fails the same way.
 """
 
 from __future__ import annotations
@@ -331,8 +332,15 @@ def cmd_estimate(args: argparse.Namespace) -> Files:
     return Path(args.out), files
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error fails like any other, not with usage and exit 2;
+    # subparsers are built with the same class
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="advqls",
         description="Variational linear-solver pipeline for the advection-diffusion system",
     )
@@ -387,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         out_dir, files = args.func(args)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():

@@ -12,8 +12,9 @@ points to one batched cost call as the (2, m, P) stack of the m vectors
 still running. A vector whose stopping rule fires drops out of the
 stack. Delta is drawn for up to 64 iterations at a time, in rows equal
 to the per-step draws, and the update is elementwise, so every vector's
-result equals a loop of `step` calls on its generator bit for bit. `run`
-is the one-vector case on a scalar cost.
+result equals a loop of `step` calls on its generator bit for bit. One
+history of the iterations run gives every vector its `cost_trace` and
+`theta_trace`. `run` is the one-vector case on a scalar cost.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ class SpsaResult:
     theta: np.ndarray
     cost_trace: list[float]
     converged: bool
+    theta_trace: np.ndarray   # (iterations + 1, P): theta_0 .. theta
 
     @property
     def iterations(self) -> int:
@@ -175,7 +177,10 @@ def run_lockstep(
     iterations at a time with one `integers` call per row, whose rows
     equal the per-step draws, so a row that stops early has drawn ahead.
 
-    Returns one `SpsaResult` per row of `theta_init`.
+    Each iteration appends (rows, theta, cost estimates) to one history,
+    which grows with the iterations run, never with `max_iter`. Returns
+    one `SpsaResult` per row of `theta_init`, its traces split out of the
+    history by one stable sort of the row ids.
     """
     theta = np.array(theta_init, dtype=float)
     if theta.ndim != 2 or len(rngs) != len(theta):
@@ -184,13 +189,12 @@ def run_lockstep(
             f"{theta.shape} and {len(rngs)} generators"
         )
     rows = np.arange(len(theta))
-    active = rows.tolist()
-    costs = np.asarray(cost(theta, rows), dtype=float).tolist()
-    traces = [[c] for c in costs]
+    estimate = np.array(cost(theta, rows), dtype=float)
+    history = [(rows, theta, estimate)]   # (rows, theta_k, C_k) per iteration k
     if callback is not None:
-        callback(0, theta, costs, rows)
-    results: list[SpsaResult | None] = [None] * len(theta)
-    streaks = [0] * len(theta)
+        callback(0, theta, estimate.tolist(), rows)
+    converged = np.zeros(len(theta), dtype=bool)
+    streak = np.zeros(len(theta), dtype=int)
     for k in range(cfg.max_iter):
         row = k % _DELTA_BLOCK
         if row == 0:
@@ -198,38 +202,36 @@ def run_lockstep(
             # offsets of both points and the divisors 2 c_k Delta_k
             block = [gains(j, cfg) for j in range(k, min(k + _DELTA_BLOCK, cfg.max_iter))]
             size = (len(block), theta.shape[1])
-            deltas = np.stack([rngs[i].integers(0, 2, size=size) for i in active], 1) * 2 - 1
+            deltas = np.stack([rngs[i].integers(0, 2, size=size) for i in rows], 1) * 2 - 1
             perturbations = np.array([c_j for _, c_j in block])[:, None, None] * deltas
             offsets, divisors = _SIGNS * perturbations[:, None], 2.0 * perturbations
         pair = cost(theta + offsets[row], rows)
         gradient = (pair[0] - pair[1])[:, None] / divisors[row]
         a_k = block[row][0]
         theta = (theta - a_k * gradient) % (2.0 * np.pi)
-        costs = []
-        stopped = []
-        for pos, (i, plus, minus) in enumerate(zip(active, *pair.tolist())):
-            trace = traces[i]
-            trace.append(0.5 * (plus + minus))
-            costs.append(trace[-1])
-            if cfg.stop_rule == "diff":
-                within = abs(trace[-1] - trace[-2]) < cfg.tol
-            elif cfg.stop_rule == "threshold":
-                within = trace[-1] < cfg.tol
-            else:
-                within = False
-            streaks[i] = streaks[i] + 1 if within else 0
-            if streaks[i] >= cfg.patience:
-                results[i] = SpsaResult(theta[pos], trace, True)
-                stopped.append(pos)
+        previous, estimate = estimate, 0.5 * (pair[0] + pair[1])
+        history.append((rows, theta, estimate))
         if callback is not None:
-            callback(k + 1, theta, costs, rows)
-        if stopped:
-            keep = np.delete(np.arange(len(rows)), stopped)
-            theta, rows = theta[keep], rows[keep]
+            callback(k + 1, theta, estimate.tolist(), rows)
+        if cfg.stop_rule == "none":
+            continue
+        within = (np.abs(estimate - previous) if cfg.stop_rule == "diff" else estimate) < cfg.tol
+        streak = (streak + 1) * within
+        done = streak >= cfg.patience
+        if np.count_nonzero(done):
+            converged[rows[done]] = True
+            keep = ~done
+            theta, rows, estimate, streak = theta[keep], rows[keep], estimate[keep], streak[keep]
             offsets, divisors = offsets[:, :, keep], divisors[:, keep]
-            active = rows.tolist()
-            if not active:
+            if not rows.size:
                 break
-    for pos, i in enumerate(active):
-        results[i] = SpsaResult(theta[pos], traces[i], False)
-    return results
+
+    # every row's entries, row by row in iteration order
+    owner, thetas, costs = (np.concatenate(column) for column in zip(*history))
+    order = np.argsort(owner, kind="stable")
+    bounds = np.cumsum(np.bincount(owner, minlength=len(converged)))[:-1]
+    return [
+        SpsaResult(theta_trace[-1], cost_trace.tolist(), bool(stopped), theta_trace)
+        for theta_trace, cost_trace, stopped
+        in zip(np.split(thetas[order], bounds), np.split(costs[order], bounds), converged)
+    ]

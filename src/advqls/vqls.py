@@ -93,7 +93,6 @@ __all__ = [
     "MAX_SUBMITTABLE_CIRCUITS",
     "MAX_SHOTS",
     "rescale_solution",
-    "extract_solution",
     "solve",
     "run_ensemble",
     "ensemble_mean_fields",
@@ -547,14 +546,6 @@ def rescale_solution(x: np.ndarray, system: problem.BlockSystem) -> np.ndarray:
     return (scale[..., None] * x).reshape(x.shape[:-1] + (system.spec.n_t - 1, system.spec.n))
 
 
-def extract_solution(
-    theta: np.ndarray, system: problem.BlockSystem, cfg: AnsatzConfig
-) -> np.ndarray:
-    """Fields u(t = dt), u(t = 2 dt), ... from a parameter vector, or
-    from each row of a stack of them."""
-    return rescale_solution(ansatz_amplitudes(cfg, theta), system)
-
-
 # -- end-to-end solve ----------------------------------------------------
 
 
@@ -736,16 +727,9 @@ def _run_ensemble(
                 ansatz_amplitudes(ansatz, points), shots, generators
             ).value
 
-    history: list[tuple[np.ndarray, np.ndarray]] = []   # (theta_k, members) per k
-    results = spsa.run_lockstep(
-        theta_init, cost, spsa_cfg, rngs,
-        callback=lambda _k, theta, _costs, members: history.append((theta, members)),
-    )
-
-    # every member's theta_0 .. theta_final, member by member in iteration
-    # order, in one kernel call
-    owner = np.concatenate([members for _, members in history])
-    thetas = np.concatenate([theta for theta, _ in history])[np.argsort(owner, kind="stable")]
+    results = spsa.run_lockstep(theta_init, cost, spsa_cfg, rngs)
+    # every member's theta_0 .. theta_final, member by member, in one kernel call
+    thetas = np.concatenate([r.theta_trace for r in results])
     fields = rescale_solution(ansatz_amplitudes(ansatz, thetas), system)
     traces = np.split(fields, np.cumsum([r.iterations + 1 for r in results])[:-1])
     circuits = circuit_count(ansatz.num_qubits, decomposition.term_count, "full_sym")

@@ -470,3 +470,31 @@ class TestErrorContract:
         assert set(json.loads(lines[0])) == {"error", "message"}
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert out.exists() == (command == "trace")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--tau", "abc"], "argument --tau: invalid int value: 'abc'"),
+            (["trace"], "the following arguments are required: --member"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["bad-type", "missing-required", "unknown-command"],
+    )
+    def test_rejected_argument_creates_nothing(self, tmp_path, capsys, argv, message):
+        # argparse's own rejections follow the same one-JSON-line contract
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert message in parsed["message"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--help"])
+        assert exc.value.code == 0
+        assert "--tau" in capsys.readouterr().out

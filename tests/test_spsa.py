@@ -303,6 +303,50 @@ class TestPairCost:
             run_lockstep(np.zeros((2, 3)), lambda x, r: x.sum(-1), SpsaConfig(), [np.random.default_rng()])
 
 
+class TestHistory:
+    """run_lockstep keeps every row's iterates and cost estimates itself and
+    splits them into each result's theta_trace and cost_trace."""
+
+    @pytest.mark.parametrize("rule, tol", [("none", 1e-2), ("diff", 1e-3), ("threshold", 1e-2)])
+    def test_theta_trace_is_what_the_callback_saw(self, rule, tol):
+        p = 5
+        _, batch_cost = _cosine_bowl(p)
+        cfg = SpsaConfig(max_iter=130, stop_rule=rule, tol=tol)
+        starts = np.random.default_rng(p).uniform(0.0, 2.0 * np.pi, (4, p))
+        thetas = [[] for _ in starts]
+        costs = [[] for _ in starts]
+
+        def callback(_k, theta, estimates, rows):
+            for pos, i in enumerate(rows):
+                thetas[i].append(theta[pos].copy())
+                costs[i].append(estimates[pos])
+
+        results = run_lockstep(
+            starts, batch_cost, cfg, [np.random.default_rng(3 + i) for i in range(4)], callback
+        )
+        for i, result in enumerate(results):
+            assert result.theta_trace.shape == (result.iterations + 1, p)
+            assert result.theta_trace.tobytes() == np.array(thetas[i]).tobytes()
+            assert result.theta.tobytes() == thetas[i][-1].tobytes()
+            assert result.cost_trace == costs[i]
+        if rule != "none":
+            # some rows dropped out while others ran on
+            assert len({r.iterations for r in results}) > 1
+
+    def test_storage_grows_with_iterations_run(self):
+        # an uncapped max_iter must not size anything up front
+        cfg = SpsaConfig(max_iter=10**12, stop_rule="threshold", tol=1.0, patience=2)
+        results = run_lockstep(
+            np.zeros((2, 3)), lambda x, _rows: np.zeros(x.shape[:-1]), cfg,
+            [np.random.default_rng(i) for i in range(2)],
+        )
+        for result in results:
+            assert result.iterations == 2
+            assert result.converged
+            assert result.cost_trace == [0.0, 0.0, 0.0]
+            assert result.theta_trace.shape == (3, 3)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -18,7 +18,6 @@ from advqls.vqls import (
     ansatz_circuit,
     ansatz_state,
     circuit_count,
-    extract_solution,
     rescale_solution,
     run_ensemble,
     solve,
@@ -563,7 +562,7 @@ class TestSolutionExtraction:
 
     def test_extract_from_theta(self):
         theta = np.random.default_rng(41).uniform(0, 2 * np.pi, 12)
-        fields = extract_solution(theta, SYSTEM, ANSATZ)
+        fields = rescale_solution(ansatz_amplitudes(ANSATZ, theta), SYSTEM)
         assert fields.shape == (2, 4)
 
 
@@ -665,10 +664,12 @@ class TestSolve:
         records = run_ensemble(SPEC, spsa_cfg=cfg, ensemble_size=3)
         monkeypatch.undo()
         assert shapes == [(3, 12)] + [(2, 3, 12)] * 5 + [(18, 12)]
-        assert rec.u_fields.tobytes() == extract_solution(rec.theta_final, SYSTEM, ANSATZ).tobytes()
+        final = rescale_solution(ansatz_amplitudes(ANSATZ, rec.theta_final), SYSTEM)
+        assert rec.u_fields.tobytes() == final.tobytes()
         for member in records:
             assert member.solution_trace.shape == (6, 2, 4)
-            assert member.u_fields.tobytes() == extract_solution(member.theta_final, SYSTEM, ANSATZ).tobytes()
+            final = rescale_solution(ansatz_amplitudes(ANSATZ, member.theta_final), SYSTEM)
+            assert member.u_fields.tobytes() == final.tobytes()
 
     @pytest.mark.parametrize("n, n_t", [(4, 3), (16, 3)])
     @pytest.mark.parametrize("shots", [None, 8192])
