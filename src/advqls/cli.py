@@ -65,11 +65,6 @@ class RunConfig:
         unknown = set(self.spsa_overrides) - known
         if unknown:
             raise ValueError(f"unknown spsa_overrides keys: {sorted(unknown)}")
-        if "seed" in self.spsa_overrides:
-            raise ValueError(
-                "spsa_overrides.seed has no effect: member i runs with seed "
-                "base_seed + i, so set base_seed instead"
-            )
         # the override values pass SpsaConfig's own checks and keep its plain values
         cfg = self.spsa_config()
         self.spsa_overrides = {name: getattr(cfg, name) for name in self.spsa_overrides}
@@ -107,17 +102,7 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "problem": dataclasses.asdict(self.problem),
-            "ansatz_units": self.ansatz_units,
-            "spsa_overrides": dict(self.spsa_overrides),
-            "shots": self.shots,
-            "ensemble_size": self.ensemble_size,
-            "base_seed": self.base_seed,
-            "workers": self.workers,
-            "classical_only": self.classical_only,
-            "out_dir": self.out_dir,
-        }
+        return dataclasses.asdict(self)
 
     def ansatz(self) -> vqls.AnsatzConfig:
         return vqls.ansatz_for(self.problem, self.ansatz_units)

@@ -155,6 +155,8 @@ def decompose(matrix: np.ndarray, prune_eps: float = 1e-12) -> PauliDecompositio
     """
     prune_eps = _checks.real("prune_eps", prune_eps, low=0)
     matrix = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must have finite entries, got NaN or infinity")
     num_qubits = _num_qubits(matrix)
     coords = _coordinates(matrix, num_qubits)
     shifts = range(2 * num_qubits - 2, -1, -2)

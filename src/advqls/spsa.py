@@ -14,7 +14,9 @@ stack. Delta is drawn for up to 64 iterations at a time, in rows equal
 to the per-step draws, and the update is elementwise, so every vector's
 result equals a loop of `step` calls on its generator bit for bit. One
 history of the iterations run gives every vector its `cost_trace` and
-`theta_trace`. `run` is the one-vector case on a scalar cost.
+`theta_trace`, which hold every iterate and cost estimate. `run` is the
+one-vector case on a scalar cost. Every entry point takes its
+generators from the caller; none seeds one itself.
 """
 
 from __future__ import annotations
@@ -57,12 +59,11 @@ class SpsaConfig:
     tol: float = 2e-2
     patience: int = 5
     max_iter: int = 500
-    seed: int = 0
     stop_rule: str = "diff"
 
     def __post_init__(self):
         _checks.fields(self, _checks.integer, "patience", low=1)
-        _checks.fields(self, _checks.integer, "max_iter", "seed", low=0)
+        _checks.fields(self, _checks.integer, "max_iter", low=0)
         _checks.fields(self, _checks.real, "alpha", "gamma", "c", positive=True)
         _checks.fields(self, _checks.real, "A", "a", "tol")
         if self.A <= -1:
@@ -77,10 +78,13 @@ class SpsaConfig:
 
 @dataclass
 class SpsaResult:
-    theta: np.ndarray
     cost_trace: list[float]
     converged: bool
     theta_trace: np.ndarray   # (iterations + 1, P): theta_0 .. theta
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.theta_trace[-1]
 
     @property
     def iterations(self) -> int:
@@ -126,34 +130,25 @@ def run(
     theta_init: Sequence[float],
     cost_fn: Callable[[np.ndarray], float],
     cfg: SpsaConfig,
-    rng: np.random.Generator | None = None,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
+    rng: np.random.Generator,
 ) -> SpsaResult:
-    """Iterate the SPSA update until the stopping rule fires or max_iter
-    is reached.
+    """Iterate the SPSA update, drawing Delta from `rng`, until the
+    stopping rule fires or max_iter is reached.
 
     cost_trace[0] is the cost at theta_init (one extra evaluation beyond
     the two per iteration), so traces always carry an iteration-0 row.
     Each iteration calls `cost_fn` on theta + c_k Delta, then on
-    theta - c_k Delta; `callback(k, theta_k, cost_trace[k])` sees every
-    iterate from k = 0. This is the one-vector case of `run_lockstep`,
+    theta - c_k Delta. This is the one-vector case of `run_lockstep`,
     so the result equals a loop of `step` calls on the same generator
     bit for bit, and the generator's state after `run` is unspecified.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     theta = np.asarray(theta_init, dtype=float)
 
     def cost(points, _rows):
         flat = [cost_fn(x) for x in points.reshape(-1, theta.size)]
         return np.array(flat, dtype=float).reshape(points.shape[:-1])
 
-    report = None
-    if callback is not None:
-        def report(k, thetas, costs, _rows):
-            callback(k, thetas[0], costs[0])
-
-    return run_lockstep(theta[None], cost, cfg, [rng], report)[0]
+    return run_lockstep(theta[None], cost, cfg, [rng])[0]
 
 
 def run_lockstep(
@@ -161,7 +156,6 @@ def run_lockstep(
     cost: BatchCost,
     cfg: SpsaConfig,
     rngs: Sequence[np.random.Generator],
-    callback: Callable[[int, np.ndarray, list[float], np.ndarray], None] | None = None,
 ) -> list[SpsaResult]:
     """Run SPSA on each row of the (M, P) `theta_init` in lockstep, row i
     drawing Delta from `rngs[i]`.
@@ -170,17 +164,16 @@ def run_lockstep(
     running, named by the index array `rows`: their (m, P) starting
     vectors once, then every iteration's (2, m, P) stack, theta + c_k Delta
     over theta - c_k Delta. It returns their costs as an array of shape
-    (m,) or (2, m).
-    After every iteration, and once for k = 0, `callback(k, theta, costs,
-    rows)` sees the (m, P) iterates and their cost estimates before rows
-    whose stopping rule fired drop out. Delta is drawn for up to 64
-    iterations at a time with one `integers` call per row, whose rows
-    equal the per-step draws, so a row that stops early has drawn ahead.
+    (m,) or (2, m). A row leaves the stack after the iteration on which
+    its stopping rule fires. Delta is drawn for up to 64 iterations at a
+    time with one `integers` call per row, whose rows equal the per-step
+    draws, so a row that stops early has drawn ahead.
 
     Each iteration appends (rows, theta, cost estimates) to one history,
     which grows with the iterations run, never with `max_iter`. Returns
     one `SpsaResult` per row of `theta_init`, its traces split out of the
-    history by one stable sort of the row ids.
+    history by one stable sort of the row ids: `theta_trace` and
+    `cost_trace` hold every iterate and cost estimate from k = 0.
     """
     theta = np.array(theta_init, dtype=float)
     if theta.ndim != 2 or len(rngs) != len(theta):
@@ -191,8 +184,6 @@ def run_lockstep(
     rows = np.arange(len(theta))
     estimate = np.array(cost(theta, rows), dtype=float)
     history = [(rows, theta, estimate)]   # (rows, theta_k, C_k) per iteration k
-    if callback is not None:
-        callback(0, theta, estimate.tolist(), rows)
     converged = np.zeros(len(theta), dtype=bool)
     streak = np.zeros(len(theta), dtype=int)
     for k in range(cfg.max_iter):
@@ -211,8 +202,6 @@ def run_lockstep(
         theta = (theta - a_k * gradient) % (2.0 * np.pi)
         previous, estimate = estimate, 0.5 * (pair[0] + pair[1])
         history.append((rows, theta, estimate))
-        if callback is not None:
-            callback(k + 1, theta, estimate.tolist(), rows)
         if cfg.stop_rule == "none":
             continue
         within = (np.abs(estimate - previous) if cfg.stop_rule == "diff" else estimate) < cfg.tol
@@ -231,7 +220,7 @@ def run_lockstep(
     order = np.argsort(owner, kind="stable")
     bounds = np.cumsum(np.bincount(owner, minlength=len(converged)))[:-1]
     return [
-        SpsaResult(theta_trace[-1], cost_trace.tolist(), bool(stopped), theta_trace)
+        SpsaResult(cost_trace.tolist(), bool(stopped), theta_trace)
         for theta_trace, cost_trace, stopped
         in zip(np.split(thetas[order], bounds), np.split(costs[order], bounds), converged)
     ]

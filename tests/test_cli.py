@@ -292,6 +292,19 @@ class TestDecomposeCommand:
         assert "prune_eps must be a finite real number >= 0" in parsed["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_matrix_fails_before_writing(self, tmp_path, capsys, bad):
+        matrix_path = tmp_path / "matrix.csv"
+        matrix_path.write_text(f"1,{bad}\n0,1\n")
+        out = tmp_path / "out"
+        assert main(["decompose", "--matrix", str(matrix_path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert "matrix must have finite entries" in parsed["message"]
+        assert not out.exists()
+
 
 class TestCircuitsCommand:
     def test_sweep_output(self, tmp_path):
@@ -361,7 +374,7 @@ class TestErrorContract:
             ({"spsa_overrides": {"max_iter": 5, "bogus": 1}}, [], "bogus"),
             ({"problem": {"n": 3}}, [], "power of two"),
             ({}, ["--shots", "many"], "--shots"),
-            ({"spsa_overrides": {"seed": 5}}, [], "base_seed"),
+            ({"spsa_overrides": {"seed": 5}}, [], "'seed'"),
             ({"base_seed": -1}, [], "base_seed"),
             ({}, ["--seed", "-1"], "base_seed"),
             ({"ansatz_units": 2.5}, [], "ansatz_units"),

@@ -133,6 +133,15 @@ class TestDecompose:
         with pytest.raises(ValueError, match="prune_eps"):
             decompose(np.eye(4), prune_eps=eps)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        # a NaN coordinate fails every pruning comparison and an infinite
+        # one serializes as invalid JSON, so neither may reach the terms
+        a = np.eye(4)
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match=r"\bmatrix\b"):
+            decompose(a)
+
     def test_zero_matrix(self):
         assert decompose(np.zeros((4, 4)), prune_eps=0.0).term_count == 0
 

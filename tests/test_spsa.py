@@ -124,29 +124,32 @@ class TestRun:
 
     def test_constant_cost_converges_in_patience_iterations(self):
         cfg = SpsaConfig(stop_rule="diff", patience=5, max_iter=100)
-        result = run(np.ones(4), lambda t: 0.42, cfg)
+        result = run(np.ones(4), lambda t: 0.42, cfg, np.random.default_rng(0))
         assert result.converged
         assert result.iterations == 5
 
     def test_threshold_rule(self):
         cfg = SpsaConfig(stop_rule="threshold", tol=0.5, patience=3, max_iter=100)
-        result = run(np.ones(2), lambda t: 0.1, cfg)
+        result = run(np.ones(2), lambda t: 0.1, cfg, np.random.default_rng(0))
         assert result.converged
         assert result.iterations == 3
         cfg_high = SpsaConfig(stop_rule="threshold", tol=0.01, patience=3, max_iter=10)
-        result = run(np.ones(2), lambda t: 0.1, cfg_high)
+        result = run(np.ones(2), lambda t: 0.1, cfg_high, np.random.default_rng(0))
         assert not result.converged
         assert result.iterations == 10
 
     def test_zero_max_iter(self):
         theta0 = np.array([0.3, 0.4])
-        result = run(theta0, lambda t: 1.0, SpsaConfig(max_iter=0))
+        result = run(theta0, lambda t: 1.0, SpsaConfig(max_iter=0), np.random.default_rng(0))
         assert not result.converged
         assert np.array_equal(result.theta, theta0)
         assert result.cost_trace == [1.0]
 
     def test_trace_starts_at_initial_cost(self):
-        result = run(np.zeros(2), lambda t: float(t @ t), SpsaConfig(max_iter=4, stop_rule="none"))
+        result = run(
+            np.zeros(2), lambda t: float(t @ t), SpsaConfig(max_iter=4, stop_rule="none"),
+            np.random.default_rng(0),
+        )
         assert result.cost_trace[0] == 0.0
         assert len(result.cost_trace) == 5
 
@@ -157,29 +160,18 @@ class TestRun:
             calls.append(1)
             return float(theta @ theta)
 
-        result = run(np.ones(3), cost, SpsaConfig(max_iter=7, stop_rule="none"))
+        result = run(np.ones(3), cost, SpsaConfig(max_iter=7, stop_rule="none"), np.random.default_rng(0))
         assert len(calls) == 1 + 2 * result.iterations
 
     def test_bitwise_deterministic(self):
         def cost(theta):
             return float(np.sum(np.sin(theta)))
 
-        cfg = SpsaConfig(max_iter=25, stop_rule="none", seed=5)
-        r1 = run(np.linspace(0, 1, 6), cost, cfg)
-        r2 = run(np.linspace(0, 1, 6), cost, cfg)
+        cfg = SpsaConfig(max_iter=25, stop_rule="none")
+        r1 = run(np.linspace(0, 1, 6), cost, cfg, np.random.default_rng(5))
+        r2 = run(np.linspace(0, 1, 6), cost, cfg, np.random.default_rng(5))
         assert r1.cost_trace == r2.cost_trace
         assert np.array_equal(r1.theta, r2.theta)
-
-    def test_callback_sees_every_iteration(self):
-        seen = []
-        run(
-            np.ones(2),
-            lambda t: float(t @ t),
-            SpsaConfig(max_iter=3, stop_rule="none"),
-            callback=lambda k, theta, cost: seen.append(k),
-        )
-        assert seen == [0, 1, 2, 3]
-
 
 
 def _cosine_bowl(p):
@@ -197,11 +189,14 @@ def _cosine_bowl(p):
 
 
 def step_loop(theta, cost, cfg, rng):
-    """Oracle: public `step` calls from theta until cfg's stopping rule fires."""
-    trace = [float(cost(theta))]
+    """Oracle: public `step` calls from theta until cfg's stopping rule
+    fires. Returns the iterates theta_0 .. theta_K, the cost trace and
+    whether the rule fired."""
+    thetas, trace = [theta], [float(cost(theta))]
     streak = 0
     for k in range(cfg.max_iter):
         theta, estimate = step(theta, cost, k, cfg, rng)
+        thetas.append(theta)
         trace.append(float(estimate))
         if cfg.stop_rule == "diff":
             within = abs(trace[-1] - trace[-2]) < cfg.tol
@@ -209,8 +204,8 @@ def step_loop(theta, cost, cfg, rng):
             within = cfg.stop_rule == "threshold" and trace[-1] < cfg.tol
         streak = streak + 1 if within else 0
         if streak >= cfg.patience:
-            return theta, trace, True
-    return theta, trace, False
+            return np.array(thetas), trace, True
+    return np.array(thetas), trace, False
 
 
 class TestPairCost:
@@ -235,11 +230,11 @@ class TestPairCost:
         results = run_lockstep(starts, recording, cfg, [np.random.default_rng(3 + i) for i in range(4)])
         iterations = []
         for i, result in enumerate(results):
-            theta, trace, converged = step_loop(starts[i], cost, cfg, np.random.default_rng(3 + i))
+            thetas, trace, converged = step_loop(starts[i], cost, cfg, np.random.default_rng(3 + i))
             single = run(starts[i], cost, cfg, rng=np.random.default_rng(3 + i))
             for got in (result, single):
                 assert np.array(got.cost_trace).tobytes() == np.array(trace).tobytes()
-                assert got.theta.tobytes() == theta.tobytes()
+                assert got.theta.tobytes() == thetas[-1].tobytes()
                 assert got.converged == converged
             iterations.append(result.iterations)
         running = [sum(n > k for n in iterations) for k in range(max(iterations))]
@@ -257,46 +252,43 @@ class TestPairCost:
         # across block borders
         cfg = SpsaConfig(max_iter=130, stop_rule="none")
         _, batch_cost = _cosine_bowl(p)
-        thetas, points = [], []
+        points = []
 
         def recording(x, rows):
             points.append(x.copy())
             return batch_cost(x, rows)
 
-        run_lockstep(
-            np.zeros((2, p)), recording, cfg, [np.random.default_rng(seed + i) for i in range(2)],
-            callback=lambda _k, theta, _costs, _rows: thetas.append(theta),
+        results = run_lockstep(
+            np.zeros((2, p)), recording, cfg, [np.random.default_rng(seed + i) for i in range(2)]
         )
         assert len(points) == 1 + 130
         for i in range(2):
             replay = np.random.default_rng(seed + i)
+            thetas = results[i].theta_trace
             for k, x in enumerate(points[1:]):
                 _, c_k = gains(k, cfg)
                 delta = replay.integers(0, 2, p) * 2 - 1
-                expected = np.stack((thetas[k][i] + c_k * delta, thetas[k][i] - c_k * delta))
+                expected = np.stack((thetas[k] + c_k * delta, thetas[k] - c_k * delta))
                 assert x[:, i].tobytes() == expected.tobytes()
 
-    def test_callback_sees_running_rows(self):
-        # rows whose rule fired leave the stack after their last callback
+    def test_cost_sees_running_rows(self):
+        # a row whose rule fired leaves the stack after that iteration
         cfg = SpsaConfig(max_iter=10, stop_rule="threshold", tol=0.5, patience=2)
         seen = []
 
         def cost(points, rows):
+            seen.append((points.shape, rows.tolist()))
             return np.broadcast_to(rows * 1.0, points.shape[:-1])
 
-        results = run_lockstep(
-            np.zeros((3, 2)), cost, cfg, [np.random.default_rng(i) for i in range(3)],
-            callback=lambda k, theta, costs, rows: seen.append((k, theta.shape, costs, rows.tolist())),
-        )
+        results = run_lockstep(np.zeros((3, 2)), cost, cfg, [np.random.default_rng(i) for i in range(3)])
         assert [r.iterations for r in results] == [2, 10, 10]
         assert [r.converged for r in results] == [True, False, False]
-        assert seen[:3] == [
-            (0, (3, 2), [0.0, 1.0, 2.0], [0, 1, 2]),
-            (1, (3, 2), [0.0, 1.0, 2.0], [0, 1, 2]),
-            (2, (3, 2), [0.0, 1.0, 2.0], [0, 1, 2]),
-        ]
-        assert seen[3] == (3, (2, 2), [1.0, 2.0], [1, 2])
-        assert len(seen) == 11
+        assert [r.cost_trace for r in results] == [[0.0] * 3, [1.0] * 11, [2.0] * 11]
+        assert seen == (
+            [((3, 2), [0, 1, 2])]
+            + [((2, 3, 2), [0, 1, 2])] * 2
+            + [((2, 2, 2), [1, 2])] * 8
+        )
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="generators"):
@@ -308,27 +300,18 @@ class TestHistory:
     splits them into each result's theta_trace and cost_trace."""
 
     @pytest.mark.parametrize("rule, tol", [("none", 1e-2), ("diff", 1e-3), ("threshold", 1e-2)])
-    def test_theta_trace_is_what_the_callback_saw(self, rule, tol):
+    def test_traces_match_step_loop(self, rule, tol):
         p = 5
-        _, batch_cost = _cosine_bowl(p)
+        cost, batch_cost = _cosine_bowl(p)
         cfg = SpsaConfig(max_iter=130, stop_rule=rule, tol=tol)
         starts = np.random.default_rng(p).uniform(0.0, 2.0 * np.pi, (4, p))
-        thetas = [[] for _ in starts]
-        costs = [[] for _ in starts]
-
-        def callback(_k, theta, estimates, rows):
-            for pos, i in enumerate(rows):
-                thetas[i].append(theta[pos].copy())
-                costs[i].append(estimates[pos])
-
-        results = run_lockstep(
-            starts, batch_cost, cfg, [np.random.default_rng(3 + i) for i in range(4)], callback
-        )
+        results = run_lockstep(starts, batch_cost, cfg, [np.random.default_rng(3 + i) for i in range(4)])
         for i, result in enumerate(results):
+            thetas, trace, _ = step_loop(starts[i], cost, cfg, np.random.default_rng(3 + i))
             assert result.theta_trace.shape == (result.iterations + 1, p)
-            assert result.theta_trace.tobytes() == np.array(thetas[i]).tobytes()
-            assert result.theta.tobytes() == thetas[i][-1].tobytes()
-            assert result.cost_trace == costs[i]
+            assert result.theta_trace.tobytes() == thetas.tobytes()
+            assert result.theta.tobytes() == thetas[-1].tobytes()
+            assert np.array(result.cost_trace).tobytes() == np.array(trace).tobytes()
         if rule != "none":
             # some rows dropped out while others ran on
             assert len({r.iterations for r in results}) > 1
