@@ -23,6 +23,7 @@ import dataclasses
 import io
 import json
 import sys
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -256,12 +257,20 @@ def _load_matrix(path: str) -> np.ndarray:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"matrix file {path} does not exist")
-    if p.suffix == ".npy":
-        return np.load(p)
-    if p.suffix == ".json":
-        with open(p, encoding="utf-8") as fh:
-            return np.asarray(json.load(fh), dtype=complex)
-    return np.loadtxt(p, delimiter=",", dtype=float)
+    try:
+        # loadtxt only warns on a file with no data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if p.suffix == ".npy":
+                data = np.load(p)   # a zip archive loads as an NpzFile
+            elif p.suffix == ".json":
+                with open(p, encoding="utf-8") as fh:
+                    data = json.load(fh)
+            else:
+                data = np.loadtxt(p, delimiter=",", dtype=float)
+            return np.asarray(data, dtype=complex)
+    except (OSError, EOFError, ValueError, TypeError, Warning) as exc:
+        raise ValueError(f"matrix file {path} cannot be read: {exc}") from None
 
 
 def cmd_decompose(args: argparse.Namespace) -> Files:

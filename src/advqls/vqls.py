@@ -31,10 +31,13 @@ its count of Y and S_l a real signed permutation, and the ansatz state
 x and the b-prep U are real. So with Y = [S_l x]_l every constituent
 family is one real Gram product G = (Y K) Y^T, over K = I for beta and
 U Z_q U^T for delta_q, and circuit c reads r_c = Re(f_c) G_c with
-f_c = e^{i phi} i^{nY_l' - nY_l}. Where S_l^T K S_l' is antisymmetric
-the circuit reads 0 for every real x, and f_c is set to 0 so that it
-reads exactly 0. These tables are built on the evaluator's first
-term-sum cost (exact mode never builds them). Exact,
+f_c = e^{i phi} i^{nY_l' - nY_l}. G_c is a quadratic form x^T M_c x,
+0 for every real x exactly when M_c + M_c^T = 0 and otherwise only on
+a null set, so f_c is set to 0 (the circuit then reads exactly 0) where
+G_c is below 1e-12 on three fixed random probe states; the 16 delta
+circuits of (4, 5) that are only near 0 on ansatz states stay unpinned.
+These tables are built on the evaluator's first term-sum cost (exact
+mode never builds them). Exact,
 the term sum is the independent oracle for the closed form below.
 Sampled, it runs the paper's Hadamard tests: each readout is
 2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
@@ -303,33 +306,18 @@ def _signed_permutations(labels: tuple[str, ...], num_qubits: int):
     return perm, sign, n_y
 
 
-def _antisymmetric_circuits(k, perm, sign, family, row, col) -> np.ndarray:
-    """Mask of the full_sym circuits whose S_l^T K_f S_l' is antisymmetric.
-
-    Such a circuit reads x^T S_l^T K_f S_l' x = 0 for every real x. The
-    matrix is antisymmetric exactly when K_f Q is, with the signed
-    permutation Q = S_l' S_l^T = +-X^a Z^b, where a and b are the X-or-Y
-    and Z-or-Y masks of the product of strings l and l'. So each distinct
-    (f, a, b) is tested once, to 1e-12, on one of its circuits:
-    (K_f Q)[i, j] = K_f[i, j ^ a] sign[l', j ^ a] sign[l, j].
-    """
-    dim = perm.shape[1]
-    nq = dim.bit_length() - 1
-    idx, bit = np.arange(dim), 1 << (nq - 1 - np.arange(nq))
-    # sign[l, i] = +-(-1)^{|b_l & i|}, so bit q of b_l flips sign[l, 0]
-    x_mask, z_mask = perm[:, 0], (sign[:, bit] != sign[:, :1]) @ bit
-    keys = (family * dim + (x_mask[row] ^ x_mask[col])) * dim + (z_mask[row] ^ z_mask[col])
-    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
-    fam, l, lp = family[first], row[first], col[first]
-    cols = idx ^ (x_mask[l] ^ x_mask[lp])[:, None]
-    signs = sign[lp[:, None], cols] * sign[l]
-    antisymmetric = np.empty(first.size, dtype=bool)
-    step = max(1, 2**20 // dim**2)   # about 8 MB per (step, dim, dim) array
-    for start in range(0, first.size, step):
-        t = slice(start, start + step)
-        m = k[fam[t, None, None], idx[:, None], cols[t, None, :]] * signs[t, None, :]
-        antisymmetric[t] = np.abs(m + m.swapaxes(1, 2)).max((1, 2)) < 1e-12
-    return antisymmetric[where]
+def _gram_entries(x, perm, sign, k, circuits) -> np.ndarray:
+    """Entry G_c of G = (Y K) Y^T (see module doc) of each full_sym circuit
+    c, the flat index `circuits[c]` of the (L, F, L) Gram products, over
+    leading axes: (..., 2**Q) real amplitudes give (..., C) entries."""
+    y = x.take(perm, -1) * sign
+    # contiguous, so that every row's product takes the same BLAS path
+    # whatever batch it rides in
+    y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
+    # (..., L, F * D) -> (..., L * F, D) -> Gram products (..., L, F, L)
+    yk = y @ k
+    gram = yk.reshape(yk.shape[:-2] + (-1, x.shape[-1])) @ y_t
+    return gram.reshape(gram.shape[:-2] + (-1,)).take(circuits, -1)
 
 
 # `Generator.binomial` takes shot counts as int64
@@ -384,23 +372,26 @@ class CostEvaluator:
     @cached_property
     def _readout_form(self) -> tuple:
         """The tables of `local_cost_of_state`, built on its first call:
-        the signed permutations, the stack K, and per full_sym circuit Re
-        f_c (0 for the circuits of `_antisymmetric_circuits`, which then
-        read exactly 0), its entry (l, family, l') of the flat (L, F, L)
-        Gram products and its weight w_c, then the beta count and
-        sum_l |c_l|^2."""
+        those of `_gram_entries`, per full_sym circuit Re f_c and weight
+        w_c, then the beta count and sum_l |c_l|^2. G_c = x^T M_c x with
+        M_c = S_l^T K_f S_l' is 0 for every real x exactly when M_c + M_c^T
+        = 0, and otherwise only on a null set; so f_c is 0 where |G_c| <
+        1e-12 on three probe states, unit-normalised Gaussian vectors from
+        a private `default_rng(0)`."""
         nq, n_terms, c, u = self.num_qubits, self.term_count, self.coefficients, self.u.real
         family, row, col = _circuit_tables(n_terms, nq)
         perm, sign, n_y = _signed_permutations(tuple(self.labels), nq)
         k = np.concatenate((np.eye(2**nq)[None], (u * _z_signs(nq)[:, None, :]) @ u.T))
+        k = k.transpose(1, 0, 2).reshape(2**nq, -1)
+        tables = perm, sign, k, (row * (1 + nq) + family) * n_terms + col
+        probes = np.random.default_rng(0).standard_normal((3, 2**nq))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         phase = np.exp(1j * np.angle(np.outer(c.conj(), c)))
         f = (phase * _I_POWERS[(n_y - n_y[:, None]) % 4])[row, col].real
-        f[_antisymmetric_circuits(k, perm, sign, family, row, col)] = 0.0
-        circuits = (row * (1 + nq) + family) * n_terms + col
+        f[(np.abs(_gram_entries(probes, *tables)) < 1e-12).all(0)] = 0.0
         weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
-        k = k.transpose(1, 0, 2).reshape(2**nq, -1)
         beta_count, norm2 = n_terms * (n_terms - 1) // 2, float(np.sum(np.abs(c) ** 2))
-        return perm, sign, k, f, circuits, weights, beta_count, norm2
+        return tables, f, weights, beta_count, norm2
 
     @cached_property
     def _closed_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -467,15 +458,8 @@ class CostEvaluator:
             if x.imag.any():
                 raise ValueError("amplitudes must be real: the ansatz state is real")
             x = x.real
-        perm, sign, k, f, circuits, weights, beta_count, norm2 = self._readout_form
-        y = x.take(perm, -1) * sign
-        # contiguous, so that every row's product takes the same BLAS path
-        # whatever batch it rides in
-        y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
-        # (..., L, F * D) -> (..., L * F, D) -> Gram products (..., L, F, L)
-        yk = y @ k
-        gram = yk.reshape(yk.shape[:-2] + (-1, x.shape[-1])) @ y_t
-        readouts = f * gram.reshape(gram.shape[:-2] + (-1,)).take(circuits, -1)
+        tables, f, weights, beta_count, norm2 = self._readout_form
+        readouts = f * _gram_entries(x, *tables)
         if shots is not None:
             # rounding can put r a few ulps outside [-1, 1] near the solution
             p = np.minimum(np.maximum((1.0 + readouts) / 2.0, 0.0), 1.0)

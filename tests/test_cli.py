@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +307,53 @@ class TestDecomposeCommand:
         assert parsed["error"] == "ValueError"
         assert "matrix must have finite entries" in parsed["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("strings.json", '[["a", "b"], ["c", "d"]]'),
+            ("ragged.json", "[[1, 2], [3]]"),
+            ("object.npy", None),
+            ("archive.npy", None),
+        ],
+        ids=["strings", "ragged", "object", "archive"],
+    )
+    def test_unreadable_matrix_names_the_file(self, tmp_path, capsys, name, content):
+        matrix_path = tmp_path / name
+        if name == "object.npy":
+            np.save(matrix_path, np.array([[1, None], [0, 1]], dtype=object), allow_pickle=True)
+        elif name == "archive.npy":
+            with open(matrix_path, "wb") as fh:
+                np.savez(fh, a=np.eye(2))
+        else:
+            matrix_path.write_text(content)
+        out = tmp_path / "out"
+        assert main(["decompose", "--matrix", str(matrix_path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert str(matrix_path) in parsed["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["", " \n\n"], ids=["empty", "blank"])
+    def test_empty_matrix_file_fails_with_one_line(self, tmp_path, content):
+        # a subprocess, so that NumPy's "input contained no data" warning
+        # meets the default warning filters rather than pytest's
+        (tmp_path / "e.csv").write_text(content)
+        src = str(Path(cli.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "advqls.cli", "decompose", "--matrix", "e.csv", "--out", "d"],
+            cwd=tmp_path, env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert "e.csv" in parsed["message"]
+        assert not (tmp_path / "d").exists()
 
 
 class TestCircuitsCommand:

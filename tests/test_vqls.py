@@ -176,7 +176,9 @@ def _spec_evaluator(n, n_t):
     return CostEvaluator(pauli.decompose(system.a_reduced), cfg, vqls._b_preparation(system)), cfg
 
 
-@pytest.mark.parametrize("n, n_t, pinned", [(4, 3, 10), (4, 5, 187), (16, 3, 128)])
+@pytest.mark.parametrize(
+    "n, n_t, pinned", [(4, 3, 10), (4, 5, 187), (16, 3, 128), (8, 3, 28), (8, 2, 0)]
+)
 def test_antisymmetric_circuits_read_exactly_zero(n, n_t, pinned):
     # oracle: circuit c reads x^T C x with C = P_l K P_l' built from dense
     # Pauli matrices (K = I for beta, U Z_q U^T for delta_q), which is 0 for
