@@ -109,7 +109,7 @@ class RunConfig:
         return vqls.ansatz_for(self.problem, self.ansatz_units)
 
     def spsa_config(self) -> spsa.SpsaConfig:
-        return vqls.DEFAULT_SPSA.with_overrides(**self.spsa_overrides)
+        return dataclasses.replace(vqls.DEFAULT_SPSA, **self.spsa_overrides)
 
 
 def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -226,8 +226,13 @@ def cmd_trace(args: argparse.Namespace) -> Files:
         raise FileNotFoundError(
             f"missing member record {record_path}; run `solve` into this directory first"
         )
-    with open(record_path, encoding="utf-8") as fh:
-        record = vqls.SolveRecord.from_dict(json.load(fh))
+    try:
+        with open(record_path, encoding="utf-8") as fh:
+            record = vqls.SolveRecord.from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"member record {record_path} cannot be read: {type(exc).__name__}: {exc}"
+        ) from None
 
     spec = cfg.problem
     # a record holds no spec fields; the shape of its trace is what can be checked
@@ -266,6 +271,9 @@ def _load_matrix(path: str) -> np.ndarray:
             elif p.suffix == ".json":
                 with open(p, encoding="utf-8") as fh:
                     data = json.load(fh)
+            elif not p.read_bytes().strip():
+                # loadtxt reads a line of spaces as one unparsable field
+                raise ValueError("it holds no data")
             else:
                 data = np.loadtxt(p, delimiter=",", dtype=float)
             return np.asarray(data, dtype=complex)

@@ -64,9 +64,6 @@ class ForecastConfig:
         _checks.fields(self, _checks.integer, "tau", low=1, high=MAX_TAU)
         _checks.fields(self, _checks.integer, "vertical_levels", "prognostic_variables", low=1)
 
-    def at_resolution(self, resolution_deg: float) -> "ForecastConfig":
-        return replace(self, horizontal_resolution_deg=resolution_deg)
-
 
 def cfl_timestep(cfg: ForecastConfig) -> tuple[float, int]:
     """(dt seconds, number of time levels including zero)."""
@@ -124,7 +121,7 @@ def sweep(cfg_template: ForecastConfig, resolutions: list[float]) -> list[SweepR
         raise ValueError("resolution list is empty")
     rows = []
     for resolution in resolutions:
-        cfg = cfg_template.at_resolution(resolution)
+        cfg = replace(cfg_template, horizontal_resolution_deg=resolution)
         try:
             dt, n_t = cfl_timestep(cfg)
             n = grid_points(cfg)

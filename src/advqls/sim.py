@@ -15,9 +15,11 @@ a 2x2 operator m to qubit q of a state, or of every column of a matrix;
 CZ and CRy select on the control bit with `np.where`.
 A state is a plain complex amplitude array: `Circuit.run()` returns a
 new one, prepared from |0...0>, and `expectation` and
-`sample_expectation` read one. `sample_expectation` measures one Pauli
-string in the rotated basis of `measurement_basis`; `vqls` shot mode
-does not use either, since it samples Hadamard-test ancillas instead.
+`sample_expectation` read one. Every shot readout in the package is a
++/-1 outcome with mean r, so `shots` of them sum to 2k - shots with
+k ~ Binomial(shots, (1 + r) / 2); `shot_estimates` draws that estimate,
+2k / shots - 1, for `sample_expectation` at r = <P> and for `vqls` shot
+mode at each Hadamard-test readout.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ __all__ = [
     "Circuit",
     "expectation",
     "sample_expectation",
-    "measurement_basis",
+    "shot_estimates",
     "prepare_b_circuit",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-# Maps the Y eigenbasis onto the Z basis: (H S†) Y (H S†)† = Z.
-_Y_TO_Z = np.array([[1, -1j], [1, 1j]], dtype=complex) * _INV_SQRT2
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -159,30 +159,12 @@ def expectation(amplitudes: np.ndarray, label: str) -> float:
     return float(np.real(np.vdot(amplitudes, transformed)))
 
 
-def _parity_signs(label: str) -> np.ndarray:
-    nq = len(label)
-    signs = np.ones(2**nq)
-    idx = np.arange(2**nq)
-    for q, ch in enumerate(label):
-        if ch != "I":
-            signs *= 1.0 - 2.0 * ((idx >> (nq - 1 - q)) & 1)
-    return signs
-
-
-def measurement_basis(label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rotation into the label's measurement basis and the +/-1
-    parity of each outcome over the label's non-identity qubits.
-
-    The rotation is the kron over qubits of I (for I and Z), H (for X)
-    and H S-dagger (for Y), so |rotation @ psi|^2 is the outcome
-    distribution of measuring the label on psi.
-    """
-    rotation = np.ones((1, 1), dtype=complex)
-    for ch in label:
-        if ch not in "IXYZ":
-            raise ValueError(f"invalid Pauli label {label!r}")
-        rotation = np.kron(rotation, _H if ch == "X" else _Y_TO_Z if ch == "Y" else np.eye(2))
-    return rotation, _parity_signs(label)
+def shot_estimates(means, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Shot estimates of +/-1 readouts with the given means, elementwise:
+    2k / shots - 1 with k ~ Binomial(shots, (1 + r) / 2)."""
+    # rounding can put r a few ulps outside [-1, 1] near the solution
+    p = np.minimum(np.maximum((1.0 + means) / 2.0, 0.0), 1.0)
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
 
 def sample_expectation(
@@ -191,21 +173,13 @@ def sample_expectation(
     shots: int,
     seed: int | np.random.Generator | None = None,
 ) -> float:
-    """Shot-sampled <psi|P|psi> of one Pauli string.
-
-    The outcome counts of `shots` measurements are one multinomial draw
-    from the `measurement_basis` distribution, and the estimate is their
-    mean +/-1 parity.
-    """
+    """Shot-sampled <psi|P|psi> / <psi|psi> of one Pauli string: the mean
+    of `shots` +/-1 parity outcomes, one `shot_estimates` draw."""
     _validate_label(amplitudes, label)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if all(ch == "I" for ch in label):
-        return 1.0
-    rotation, signs = measurement_basis(label)
-    probs = np.abs(rotation @ amplitudes) ** 2
-    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
-    return float((counts * signs).sum() / shots)
+    mean = expectation(amplitudes, label) / float(np.vdot(amplitudes, amplitudes).real)
+    return float(shot_estimates(mean, shots, np.random.default_rng(seed)))
 
 
 def prepare_b_circuit(phi_deg: float, num_qubits: int = 3) -> Circuit:

@@ -21,7 +21,7 @@ generators from the caller; none seeds one itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,9 +71,6 @@ class SpsaConfig:
             raise ValueError(f"A must be > -1 (the stability offset), got {self.A!r}")
         if self.stop_rule not in _STOP_RULES:
             raise ValueError(f"stop_rule must be one of {_STOP_RULES}, got {self.stop_rule!r}")
-
-    def with_overrides(self, **kwargs) -> "SpsaConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass

@@ -436,13 +436,13 @@ class CostEvaluator:
         c_l* c_l' / |c_l c_l'| on its ancilla and reads r_c = Re(f_c) G_c
         with f_c = e^{i phi} i^{nY_l' - nY_l}.
 
-        Shot mode gives every circuit `shots` ancilla outcomes,
-        k ~ Binomial(shots, (1 + r) / 2), all drawn in one call, and
-        replaces r by 2k / shots - 1. Both modes then evaluate the module
-        doc's ratio of linear forms in r.
+        Shot mode gives every circuit `shots` ancilla outcomes and
+        replaces r by its `sim.shot_estimates` draw, 2k / shots - 1 with
+        k ~ Binomial(shots, (1 + r) / 2). Both modes then evaluate the
+        module doc's ratio of linear forms in r.
 
         Over leading axes, (..., 2**Q) amplitudes give (...) values and
-        (..., C) readouts, and one `rng.binomial` call draws every row. In
+        (..., C) readouts, and one draw from `rng` covers every row. In
         place of `rng` a list may hold one generator per row of axis -2
         (the members of a lockstep ensemble); generator j then draws the
         rows [..., j, :] in one call. Shot mode needs `rng`: there is no
@@ -461,15 +461,13 @@ class CostEvaluator:
         tables, f, weights, beta_count, norm2 = self._readout_form
         readouts = f * _gram_entries(x, *tables)
         if shots is not None:
-            # rounding can put r a few ulps outside [-1, 1] near the solution
-            p = np.minimum(np.maximum((1.0 + readouts) / 2.0, 0.0), 1.0)
             if isinstance(rng, list):
-                counts = np.empty_like(p)
-                for j, generator in zip(range(p.shape[-2]), rng, strict=True):
-                    counts[..., j, :] = generator.binomial(shots, p[..., j, :])
+                sampled = np.empty_like(readouts)
+                for j, generator in zip(range(readouts.shape[-2]), rng, strict=True):
+                    sampled[..., j, :] = sim.shot_estimates(readouts[..., j, :], shots, generator)
+                readouts = sampled
             else:
-                counts = rng.binomial(shots, p)
-            readouts = 2.0 * counts / shots - 1.0
+                readouts = sim.shot_estimates(readouts, shots, rng)
         weighted = weights * readouts
         denominator = norm2 + weighted[..., :beta_count].sum(-1)
         if denominator.min() < 1e-12:

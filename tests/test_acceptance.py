@@ -7,6 +7,7 @@ included, takes a few seconds.
 
 import numpy as np
 import pytest
+from dataclasses import replace
 from itertools import product
 
 from advqls import pauli, problem, resources, sim, spsa, vqls
@@ -194,7 +195,7 @@ def test_criterion_10_spsa_unit_behavior():
     def cost(theta):
         return float(np.sum(np.cos(theta)))
 
-    fixed = cfg.with_overrides(max_iter=30, stop_rule="none")
+    fixed = replace(cfg, max_iter=30, stop_rule="none")
     r1 = spsa.run(np.linspace(0, 2, 8), cost, fixed, np.random.default_rng(3))
     r2 = spsa.run(np.linspace(0, 2, 8), cost, fixed, np.random.default_rng(3))
     replay_ok = r1.cost_trace == r2.cost_trace and np.array_equal(r1.theta, r2.theta)

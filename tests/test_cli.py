@@ -247,6 +247,23 @@ class TestTraceCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize(
+        "content", ["{bad", "{}", "[]"], ids=["malformed", "no-theta-final", "list"]
+    )
+    def test_unreadable_member_record_names_the_file(self, tmp_path, capsys, content):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        record = out / "member_000.json"
+        record.write_text(content)
+        assert main(["trace", "--config", config, "--out", str(out), "--member", "0"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert f"member record {record} cannot be read" in parsed["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["member_000.json"]
+
     def test_member_out_of_range(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -353,6 +370,7 @@ class TestDecomposeCommand:
         parsed = json.loads(lines[0])
         assert parsed["error"] == "ValueError"
         assert "e.csv" in parsed["message"]
+        assert "holds no data" in parsed["message"]
         assert not (tmp_path / "d").exists()
 
 

@@ -1,5 +1,3 @@
-from itertools import product
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +8,6 @@ from advqls.sim import (
     Circuit,
     Gate,
     expectation,
-    measurement_basis,
     prepare_b_circuit,
     sample_expectation,
 )
@@ -160,6 +157,18 @@ class TestSampleExpectation:
     def test_deterministic_outcome(self):
         assert sample_expectation(Circuit(1).run(), "Z", 8192, seed=1) == 1.0
 
+    @pytest.mark.parametrize(
+        "state, label, value",
+        [
+            (np.array([0.0, 1.0], dtype=complex), "Z", -1.0),
+            (np.array([INV_SQRT2, INV_SQRT2], dtype=complex), "X", 1.0),
+        ],
+        ids=["one-Z", "plus-X"],
+    )
+    def test_eigenstate_reads_its_eigenvalue(self, state, label, value):
+        # a readout of mean r is +1 with probability (1 + r) / 2
+        assert sample_expectation(state, label, 8192, seed=1) == value
+
     def test_plus_state_is_unbiased(self):
         plus = Circuit(1).h(0).run()
         within = sum(
@@ -191,21 +200,9 @@ class TestSampleExpectation:
         with pytest.raises(ValueError):
             sample_expectation(Circuit(1).run(), "Z", 0, seed=0)
 
-
-class TestMeasurementBasis:
-    def test_parity_mean_is_expectation(self):
-        rng = np.random.default_rng(47)
-        state = random_circuit(3, 25, rng).run()
-        for chars in product("IXYZ", repeat=3):
-            label = "".join(chars)
-            rotation, signs = measurement_basis(label)
-            assert np.abs(rotation.conj().T @ rotation - np.eye(8)).max() <= 1e-12
-            probs = np.abs(rotation @ state) ** 2
-            assert float(probs @ signs) == pytest.approx(expectation(state, label), abs=1e-12)
-
     def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            measurement_basis("XQ")
+        with pytest.raises(ValueError, match="invalid Pauli label"):
+            sample_expectation(Circuit(2).run(), "XQ", 16, seed=0)
 
 
 class TestPrepareB:

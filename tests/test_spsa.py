@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -356,7 +358,10 @@ class TestConfigValidation:
             SpsaConfig(**kwargs)
 
     def test_overrides(self):
-        cfg = SpsaConfig().with_overrides(max_iter=42, stop_rule="threshold")
+        cfg = replace(SpsaConfig(), max_iter=42, stop_rule="threshold")
         assert cfg.max_iter == 42
         assert cfg.stop_rule == "threshold"
         assert cfg.a == 4.0
+        # replace re-runs the field checks
+        with pytest.raises(ValueError, match="stop_rule"):
+            replace(SpsaConfig(), stop_rule="bogus")
