@@ -169,7 +169,10 @@ def cmd_solve(args: argparse.Namespace) -> Files:
     cfg = _apply_cli_overrides(cfg, args)
     out_dir = _resolve_out(cfg, args)
     spec = cfg.problem
-    system, classical = reference = vqls._reference(spec)
+    records = [] if cfg.classical_only else vqls.run_ensemble(
+        spec, cfg.ansatz(), cfg.spsa_config(), cfg.shots, cfg.base_seed, cfg.ensemble_size
+    )
+    system, classical = vqls._reference(spec)
     files = _manifest("solve", cfg.to_dict())
     header = ["x"] + [f"u_t{k}" for k in range(spec.n_t)]
     files["classical_reference.csv"] = _csv(header, [
@@ -183,10 +186,6 @@ def cmd_solve(args: argparse.Namespace) -> Files:
     if cfg.classical_only:
         return out_dir, files
 
-    # RunConfig has checked what run_ensemble would; reuse the reference
-    records = vqls._run_ensemble(
-        reference, cfg.ansatz(), cfg.spsa_config(), cfg.shots, cfg.base_seed, cfg.ensemble_size
-    )
     for i, record in enumerate(records):
         files[f"member_{i:03d}.json"] = json.dumps(record.to_dict(), sort_keys=True) + "\n"
 

@@ -56,7 +56,8 @@ gate interpreter. Each ansatz unit's real operator, the Ry layer times
 the fixed H/CZ entangler W, is linear in the unit's 2**Q products of
 cos/sin half angles, so one matmul of those products with a cached
 (2**Q, 4**Q) table gives every unit's operator; the table holds 8**Q
-doubles (4 KB at Q = 3, 256 KB at Q = 5, 16 MB at Q = 7).
+doubles (4 KB at Q = 3, 256 KB at Q = 5, 16 MB at Q = 7, 134 MB at
+Q = MAX_QUBITS = 8).
 
 `ansatz_amplitudes`, `rescale_solution`, `CostEvaluator.dense_cost`
 and `CostEvaluator.local_cost_of_state` work over leading axes: (..., P)
@@ -65,11 +66,23 @@ costs. They use stacked matmuls, elementwise products and last-axis sums
 only, never a product whose M dimension is the batch, so each row is
 byte-equal to the single-state call whatever batch it rides in.
 `run_ensemble` uses that to step every member in lockstep in one
-process: it builds the system, decomposition, evaluator and classical
-reference once, each SPSA iteration makes one `ansatz_amplitudes` call on
-the (2, m, P) stack of the m members still running and costs it in one
+process: each SPSA iteration makes one `ansatz_amplitudes` call on the
+(2, m, P) stack of the m members still running and costs it in one
 call, and the solution traces of all members come from one call each
 after the run. `solve` is its one-member case.
+
+What belongs to the spec, not to a member, is built once per process:
+the block system and classical fields (`_reference`), and the
+decomposition, b-prep and `CostEvaluator` with the tables it builds on
+its first cost (`_cost_evaluator`, keyed on the spec and the ansatz).
+Both are `lru_cache`s of a fixed 8 entries, shared by `run_ensemble` and
+the `solve` and `trace` commands. Every array they hold is read-only, so
+no caller can change what a later run reads. Only a second call on an
+equal spec in one process saves time; a first call does every build,
+plus the cache insert. A warm call does the same
+arithmetic on the same inputs as a cold one, so its records are
+byte-identical. The register is capped at `MAX_QUBITS` = 8 qubits,
+which bounds what these caches and the unit tables can hold.
 """
 
 from __future__ import annotations
@@ -87,6 +100,7 @@ __all__ = [
     "CostBreakdown",
     "CostEvaluator",
     "DegenerateStateError",
+    "MAX_QUBITS",
     "SolveRecord",
     "ansatz_amplitudes",
     "ansatz_circuit",
@@ -100,6 +114,10 @@ __all__ = [
     "run_ensemble",
     "ensemble_mean_fields",
 ]
+
+# Largest register the solver runs: the cached unit table of a Q-qubit
+# ansatz holds 8**Q doubles, 134 MB at Q = 8.
+MAX_QUBITS = 8
 
 # Largest batch of distinct circuits accepted per job submission on the
 # targeted cloud backends; counts beyond it are flagged infeasible.
@@ -118,13 +136,15 @@ class DegenerateStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnsatzConfig:
-    """Layered real-amplitude ansatz: one Ry angle per qubit per unit."""
+    """Layered real-amplitude ansatz: one Ry angle per qubit per unit, on
+    at most `MAX_QUBITS` qubits."""
 
     num_qubits: int = 3
     units: int = 4
 
     def __post_init__(self):
-        _checks.fields(self, _checks.integer, "num_qubits", "units", low=1)
+        _checks.fields(self, _checks.integer, "num_qubits", low=1, high=MAX_QUBITS)
+        _checks.fields(self, _checks.integer, "units", low=1)
 
     @property
     def n_params(self) -> int:
@@ -133,13 +153,18 @@ class AnsatzConfig:
 
 def ansatz_for(spec: problem.ProblemSpec, units: int = AnsatzConfig.units) -> AnsatzConfig:
     """The ansatz on the register of `spec`'s reduced system, (n_t - 1) * n
-    amplitudes, which must be a power of two."""
+    amplitudes, which must be a power of two of at most 2**MAX_QUBITS."""
     dim = int((spec.n_t - 1) * spec.n)
     num_qubits = dim.bit_length() - 1
     if 2**num_qubits != dim:
         raise ValueError(
             f"reduced dimension {dim} is not a power of two; "
             "no qubit register maps onto it"
+        )
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"n={spec.n} and n_t={spec.n_t} need a {num_qubits}-qubit register; "
+            f"the solver runs at most MAX_QUBITS={MAX_QUBITS} qubits"
         )
     return AnsatzConfig(num_qubits=num_qubits, units=units)
 
@@ -171,6 +196,11 @@ def ansatz_state(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     return ansatz_circuit(cfg, theta).run()
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
 @lru_cache(maxsize=None)
 def _entangler(num_qubits: int) -> np.ndarray:
     """W = (CZ chain) H^(x)Q, the angle-free part of one unit (read-only, cached)."""
@@ -184,7 +214,7 @@ def _entangler(num_qubits: int) -> np.ndarray:
     for q in range(num_qubits - 1):
         cz_parity ^= bits[q] & bits[q + 1]
     w = (1.0 - 2.0 * cz_parity)[:, None] * w
-    w.setflags(write=False)
+    _read_only(w)
     return w
 
 
@@ -215,8 +245,7 @@ def _unit_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     for q in range(num_qubits):
         parity ^= (flips >> q) & 1
     table = ((1.0 - 2.0 * parity)[..., None] * _entangler(num_qubits)[col]).reshape(idx.size, -1)
-    for t in (pick, table):
-        t.setflags(write=False)
+    _read_only(pick, table)
     return pick, table
 
 
@@ -259,7 +288,7 @@ def _z_signs(num_qubits: int) -> np.ndarray:
     """(Q, 2**Q) diagonals of Z_q, row q for qubit q (read-only, cached)."""
     idx = np.arange(2**num_qubits)
     z = 1.0 - 2.0 * ((idx >> (num_qubits - 1 - np.arange(num_qubits)[:, None])) & 1)
-    z.setflags(write=False)
+    _read_only(z)
     return z
 
 
@@ -273,8 +302,7 @@ def _circuit_tables(n_terms: int, num_qubits: int) -> tuple[np.ndarray, ...]:
     family = np.repeat(np.arange(1 + num_qubits), [beta[0].size] + [delta[0].size] * num_qubits)
     row = np.concatenate([beta[0]] + [delta[0]] * num_qubits)
     col = np.concatenate([beta[1]] + [delta[1]] * num_qubits)
-    for table in (family, row, col):
-        table.setflags(write=False)
+    _read_only(family, row, col)
     return family, row, col
 
 
@@ -301,8 +329,7 @@ def _signed_permutations(labels: tuple[str, ...], num_qubits: int):
     perm = np.arange(2**num_qubits) ^ flips[:, None]
     sign = 1.0 - 2.0 * (((chars == "Z") @ bits + is_y @ (1 - bits)) & 1)
     n_y = is_y.sum(1)
-    for table in (perm, sign, n_y):
-        table.setflags(write=False)
+    _read_only(perm, sign, n_y)
     return perm, sign, n_y
 
 
@@ -355,11 +382,11 @@ class CostEvaluator:
             )
         self.decomposition = decomposition
         self.ansatz = ansatz
-        self.labels = decomposition.labels
+        self.labels = tuple(decomposition.labels)
         self.coefficients = decomposition.coefficients
         nq = ansatz.num_qubits
         dim = 2**nq
-        u = b_prep.unitary() if isinstance(b_prep, sim.Circuit) else np.asarray(b_prep, dtype=complex)
+        u = b_prep.unitary() if isinstance(b_prep, sim.Circuit) else np.array(b_prep, dtype=complex)
         if u.shape != (dim, dim):
             raise ValueError(f"b-prep unitary must be {dim}x{dim}, got {u.shape}")
         if np.abs(u.conj().T @ u - np.eye(dim)).max() > 1e-10:
@@ -368,19 +395,20 @@ class CostEvaluator:
             raise ValueError("b_prep must be real: the readouts have no layers for Im(U Z_q U^dag)")
         self.u = u
         self.num_qubits = nq
+        _read_only(self.coefficients, u)
 
     @cached_property
     def _readout_form(self) -> tuple:
-        """The tables of `local_cost_of_state`, built on its first call:
-        those of `_gram_entries`, per full_sym circuit Re f_c and weight
-        w_c, then the beta count and sum_l |c_l|^2. G_c = x^T M_c x with
-        M_c = S_l^T K_f S_l' is 0 for every real x exactly when M_c + M_c^T
-        = 0, and otherwise only on a null set; so f_c is 0 where |G_c| <
-        1e-12 on three probe states, unit-normalised Gaussian vectors from
-        a private `default_rng(0)`."""
+        """The tables of `local_cost_of_state`, built on its first call
+        (read-only): those of `_gram_entries`, per full_sym circuit Re f_c
+        and weight w_c, then the beta count and sum_l |c_l|^2. G_c =
+        x^T M_c x with M_c = S_l^T K_f S_l' is 0 for every real x exactly
+        when M_c + M_c^T = 0, and otherwise only on a null set; so f_c is 0
+        where |G_c| < 1e-12 on three probe states, unit-normalised Gaussian
+        vectors from a private `default_rng(0)`."""
         nq, n_terms, c, u = self.num_qubits, self.term_count, self.coefficients, self.u.real
         family, row, col = _circuit_tables(n_terms, nq)
-        perm, sign, n_y = _signed_permutations(tuple(self.labels), nq)
+        perm, sign, n_y = _signed_permutations(self.labels, nq)
         k = np.concatenate((np.eye(2**nq)[None], (u * _z_signs(nq)[:, None, :]) @ u.T))
         k = k.transpose(1, 0, 2).reshape(2**nq, -1)
         tables = perm, sign, k, (row * (1 + nq) + family) * n_terms + col
@@ -391,17 +419,20 @@ class CostEvaluator:
         f[(np.abs(_gram_entries(probes, *tables)) < 1e-12).all(0)] = 0.0
         weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
         beta_count, norm2 = n_terms * (n_terms - 1) // 2, float(np.sum(np.abs(c) ** 2))
+        _read_only(*tables, f, weights)
         return tables, f, weights, beta_count, norm2
 
     @cached_property
     def _closed_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H, G) of `dense_cost`, built on its first call: the imaginary
-        parts of these Hermitian matrices are antisymmetric and cancel in
-        x^T M x for real x."""
+        """(H, G) of `dense_cost`, built on its first call (read-only): the
+        imaginary parts of these Hermitian matrices are antisymmetric and
+        cancel in x^T M x for real x."""
         nq, u = self.num_qubits, self.u
         a = pauli.reconstruct(self.decomposition)
         local = u @ np.diag(0.5 - sum(_z_signs(nq)) / (2.0 * nq)) @ u.conj().T
-        return np.real(a.conj().T @ local @ a), np.real(a.conj().T @ a)
+        h, g = np.real(a.conj().T @ local @ a), np.real(a.conj().T @ a)
+        _read_only(h, g)
+        return h, g
 
     @property
     def term_count(self) -> int:
@@ -605,10 +636,27 @@ def _b_preparation(system: problem.BlockSystem) -> sim.Circuit | np.ndarray:
     return (np.eye(dim) - 2.0 * np.outer(v, v) / vnorm2).astype(complex)
 
 
+# Specs whose builds `_reference` and `_cost_evaluator` keep per process.
+_MEMO_SIZE = 8
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _reference(spec: problem.ProblemSpec) -> tuple[problem.BlockSystem, np.ndarray]:
-    """The block system of `spec` and its classical solution as (n_t - 1, n) fields."""
+    """The block system of `spec` and its classical solution as (n_t - 1, n)
+    fields (read-only, cached)."""
     system = problem.build_block_system(spec)
-    return system, problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
+    classical = problem.classical_solve(system).reshape(spec.n_t - 1, spec.n)
+    _read_only(system.a_full, system.a_reduced, system.b_raw, system.b_state, system.u0, classical)
+    return system, classical
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _cost_evaluator(spec: problem.ProblemSpec, ansatz: AnsatzConfig) -> CostEvaluator:
+    """The evaluator on the decomposition of `spec`'s reduced operator and
+    its b-prep (cached, so its lazily built tables are kept too)."""
+    system, _ = _reference(spec)
+    decomposition = pauli.decompose(system.a_reduced)
+    return CostEvaluator(decomposition, ansatz, _b_preparation(system))
 
 
 def solve(
@@ -637,8 +685,9 @@ def run_ensemble(
     i uses seed base_seed + i, and its record equals that of the member
     run alone.
 
-    Builds the block system, decomposition, evaluator and classical
-    reference once, then drives every member's local cost with
+    Builds the block system, classical reference, decomposition, b-prep
+    and evaluator once per process (see the module doc), then drives
+    every member's local cost with
     `spsa.run_lockstep` from a uniformly random start in [0, 2 pi)^P: the
     closed form when shots is None, else the sampled term sum, one
     binomial draw per full_sym circuit. Each iteration costs the (2, m, P)
@@ -668,29 +717,14 @@ def run_ensemble(
         ansatz = ansatz_for(spec)
     if spsa_cfg is None:
         spsa_cfg = DEFAULT_SPSA
-    return _run_ensemble(_reference(spec), ansatz, spsa_cfg, shots, base_seed, ensemble_size)
-
-
-def _run_ensemble(
-    reference: tuple[problem.BlockSystem, np.ndarray],
-    ansatz: AnsatzConfig,
-    spsa_cfg: spsa.SpsaConfig,
-    shots: int | None,
-    base_seed: int,
-    ensemble_size: int,
-) -> list[SolveRecord]:
-    """`run_ensemble` on the system and classical fields `_reference` built,
-    with its arguments already checked."""
-    system, classical = reference
-    spec = system.spec
-    dim = system.a_reduced.shape[0]
+    dim = (spec.n_t - 1) * spec.n
     if 2**ansatz.num_qubits != dim:
         raise ValueError(
             f"ansatz spans 2^{ansatz.num_qubits} amplitudes but the reduced "
             f"system has dimension {dim}"
         )
-    decomposition = pauli.decompose(system.a_reduced)
-    evaluator = CostEvaluator(decomposition, ansatz, _b_preparation(system))
+    system, classical = _reference(spec)
+    evaluator = _cost_evaluator(spec, ansatz)
     seeds = [base_seed + i for i in range(ensemble_size)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     theta_init = np.array([rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params) for rng in rngs])
@@ -714,7 +748,7 @@ def _run_ensemble(
     thetas = np.concatenate([r.theta_trace for r in results])
     fields = rescale_solution(ansatz_amplitudes(ansatz, thetas), system)
     traces = np.split(fields, np.cumsum([r.iterations + 1 for r in results])[:-1])
-    circuits = circuit_count(ansatz.num_qubits, decomposition.term_count, "full_sym")
+    circuits = circuit_count(ansatz.num_qubits, evaluator.term_count, "full_sym")
     # every member's final fields against the classical ones, per time level
     finals = np.array([trace[-1] for trace in traces])
     reference = np.broadcast_to(classical, finals.shape)

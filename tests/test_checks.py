@@ -86,6 +86,7 @@ def test_construction_succeeds_or_names_the_field(case, value):
         ({"workers": True}, "workers"),
     ],
 )
+@pytest.mark.usefixtures("cold_memo")
 def test_run_ensemble_names_its_argument_before_any_work(monkeypatch, kwargs, name):
     def no_work(*args, **kw):
         raise AssertionError("run_ensemble built a system before checking its arguments")

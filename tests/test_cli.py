@@ -176,6 +176,31 @@ class TestSolveCommand:
         assert main(["solve", "--config", config, "--out", str(out), "--classical-only"]) == 0
         assert len(read_csv(out / "classical_reference.csv")) == 4
 
+    @pytest.mark.usefixtures("cold_memo")
+    def test_register_beyond_the_cap_fails_before_any_build(self, tmp_path, capsys, monkeypatch):
+        # n = 512 asks for 10 qubits; the unit table alone would hold 8**10
+        # doubles, so the command must fail before it builds anything
+        builds = []
+        monkeypatch.setattr(problem, "build_block_system", lambda spec: builds.append(spec))
+        out = tmp_path / "run"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": {"n": 512}}))
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert "n=512 and n_t=3 need a 10-qubit register" in parsed["message"]
+        assert not out.exists()
+        assert builds == []
+
+    @pytest.mark.usefixtures("cold_memo")
+    def test_classical_only_is_not_capped(self, tmp_path):
+        config = write_config(tmp_path, problem={"n": 512})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out), "--classical-only"]) == 0
+        assert len(read_csv(out / "classical_reference.csv")) == 513
+
     def test_reference_csv_values(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -476,6 +501,9 @@ class TestErrorContract:
             ({"problem": {"length": 1e-320}}, [], "length=1e-320"),
             ({"problem": {"kappa": 1e308}}, [], "kappa must have a finite square"),
             ({"problem": {"x": 1}}, [], "unknown problem keys: ['x']"),
+            # the register is checked before the system is built, so a spec
+            # with both faults is named for its register
+            ({"problem": {"n": 3, "kappa": 0}}, [], "reduced dimension 6 is not a power of two"),
         ],
     )
     def test_invalid_config_fails_before_writing(self, tmp_path, capsys, config_overrides, flags, message):

@@ -590,6 +590,7 @@ class TestSolve:
         assert sampled.shots == 512
         assert sampled.cost_trace != exact.cost_trace
 
+    @pytest.mark.usefixtures("cold_memo")
     def test_exact_solve_decomposes_only_the_operator(self, monkeypatch):
         calls = []
         decompose = pauli.decompose
@@ -612,6 +613,7 @@ class TestSolve:
 
         monkeypatch.setattr(module, name, counting)
 
+    @pytest.mark.usefixtures("cold_memo")
     def test_cli_solve_builds_the_system_once(self, monkeypatch, tmp_path):
         # the reference CSVs and the ensemble share one block system and
         # one classical solve
@@ -636,6 +638,7 @@ class TestSolve:
             pytest.param(512, vqls, "_signed_permutations", 1, id="512-readouts-1"),
         ],
     )
+    @pytest.mark.usefixtures("cold_memo")
     def test_closed_form_built_only_for_exact_costs(self, monkeypatch, shots, module, builder, builds):
         # H and G come from the reconstructed operator on the first exact
         # cost and are kept; shot mode never needs them. The readouts' real
@@ -822,6 +825,113 @@ class TestSolve:
             digests.append(proc.stdout.split())
         assert len(digests[0]) == 4
         assert digests[1] == digests[0]
+
+
+class TestProcessMemo:
+    """What belongs to the spec is built once per process and shared by
+    every later `run_ensemble` call and CLI command on an equal spec."""
+
+    BUILDERS = (
+        (problem, "build_block_system"),
+        (problem, "classical_solve"),
+        (pauli, "decompose"),
+        (pauli, "reconstruct"),
+        (vqls, "_signed_permutations"),
+        (vqls, "_b_preparation"),
+    )
+
+    def test_warm_call_builds_nothing(self, cold_memo, monkeypatch, tmp_path):
+        cfg = spsa.SpsaConfig(max_iter=2, stop_rule="none")
+        for shots in (None, 512):
+            run_ensemble(SPEC, spsa_cfg=cfg, shots=shots, ensemble_size=2)
+        calls = []
+        for module, name in self.BUILDERS:
+            TestSolve.count_calls(monkeypatch, module, name, calls)
+        TestSolve.count_calls(monkeypatch, CostEvaluator, "__init__", calls)
+        for shots in (None, 512):
+            # an equal spec, not the same object
+            run_ensemble(problem.ProblemSpec(), spsa_cfg=cfg, shots=shots, ensemble_size=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"ensemble_size": 2, "spsa_overrides": {"max_iter": 2, "stop_rule": "none"}}
+        ))
+        args = ["--config", str(config), "--out", str(tmp_path / "run")]
+        assert cli.main(["solve", *args]) == 0
+        assert cli.main(["trace", *args, "--member", "1"]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            pytest.param(({}, 8192), ({}, None), id="shot-then-exact"),
+            pytest.param(({}, None), ({}, 8192), id="exact-then-shot"),
+            # equal specs that hash alike: the warm run must not take the
+            # first spec's values, e.g. a float dt into the record's "t"
+            pytest.param(({"nu": -0.0}, None), ({"nu": 0.0}, None), id="nu-signed-zero"),
+            pytest.param(({"dt": 1.0}, 8192), ({"dt": 1}, 8192), id="dt-float-then-int"),
+        ],
+    )
+    def test_warm_records_equal_cold(self, cold_memo, first, second):
+        cfg = spsa.SpsaConfig(max_iter=30, stop_rule="threshold", tol=0.1)
+
+        def records(fields, shots):
+            spec = problem.ProblemSpec(**fields)
+            ensemble = run_ensemble(spec, spsa_cfg=cfg, shots=shots, base_seed=5, ensemble_size=3)
+            return [json.dumps(r.to_dict(), sort_keys=True) for r in ensemble]
+
+        cold = []
+        for run in (first, second):
+            cold_memo()
+            cold.append(records(*run))
+        cold_memo()
+        assert problem.ProblemSpec(**first[0]) == problem.ProblemSpec(**second[0])
+        assert [records(*first), records(*second)] == cold
+        assert vqls._reference.cache_info().currsize == 1
+
+    def test_cached_arrays_are_read_only(self, cold_memo):
+        cfg = spsa.SpsaConfig(max_iter=2, stop_rule="none")
+        for shots in (None, 512):
+            run_ensemble(SPEC, spsa_cfg=cfg, shots=shots, ensemble_size=1)
+        system, classical = vqls._reference(SPEC)
+        evaluator = vqls._cost_evaluator(SPEC, ANSATZ)
+        tables, f, weights, _, _ = evaluator._readout_form
+        arrays = [
+            system.a_full, system.a_reduced, system.b_raw, system.b_state, system.u0,
+            classical, evaluator.coefficients, evaluator.u, *evaluator._closed_form,
+            *tables, f, weights,
+        ]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+        assert isinstance(evaluator.labels, tuple)
+
+    def test_memo_holds_at_most_eight_specs(self, cold_memo):
+        cfg = spsa.SpsaConfig(max_iter=1, stop_rule="none")
+        for k in range(10):
+            run_ensemble(problem.ProblemSpec(nu=0.01 * (k + 1)), spsa_cfg=cfg, ensemble_size=1)
+        for memo in (vqls._reference, vqls._cost_evaluator):
+            assert memo.cache_info().maxsize == memo.cache_info().currsize == 8
+
+
+class TestRegisterCap:
+    def test_ansatz_config_names_num_qubits(self):
+        assert AnsatzConfig(num_qubits=vqls.MAX_QUBITS).num_qubits == 8
+        with pytest.raises(ValueError, match=r"^num_qubits must be an integer in \[1, 8\], got 9"):
+            AnsatzConfig(num_qubits=9)
+
+    @pytest.mark.usefixtures("cold_memo")
+    def test_ansatz_for_names_the_grid(self, monkeypatch):
+        assert vqls.ansatz_for(problem.ProblemSpec(n=128, n_t=3)).num_qubits == 8
+
+        def no_work(*args, **kw):
+            raise AssertionError("built a system for a register beyond the cap")
+
+        monkeypatch.setattr(problem, "build_block_system", no_work)
+        for spec in (problem.ProblemSpec(n=512), problem.ProblemSpec(n=4, n_t=129)):
+            with pytest.raises(ValueError, match=rf"n={spec.n} and n_t={spec.n_t} need a"):
+                vqls.ansatz_for(spec)
+            with pytest.raises(ValueError, match="MAX_QUBITS=8"):
+                run_ensemble(spec)
 
 
 class TestBPreparation:
