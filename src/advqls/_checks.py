@@ -4,8 +4,10 @@ An integer is a Python or NumPy integer and never a bool. A real is a
 finite Python or NumPy integer or float and never a bool. Both checks
 take an inclusive lower bound (`integer` also an upper one, `real` the
 bound > 0 instead), raise one ValueError that names the field, and
-return the value as a plain Python number, so whatever passes can go
-into a JSON manifest or record as it is.
+return the value as a plain Python number: an `int` from `integer`, a
+`float` from `real`. So whatever passes can go into a JSON manifest or
+record as it is, and two reals that compare equal, such as 1 and 1.0,
+are stored alike.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def integer(name: str, value, low: int | None = None, high: int | None = None) -
     raise ValueError(f"{name} must be an integer{_bounds(low, high)}, got {value!r}")
 
 
-def real(name: str, value, low: float | None = None, positive: bool = False) -> int | float:
+def real(name: str, value, low: float | None = None, positive: bool = False) -> float:
     try:
         finite = (
             isinstance(value, (int, float, np.integer, np.floating))
@@ -45,7 +47,7 @@ def real(name: str, value, low: float | None = None, positive: bool = False) -> 
         raise ValueError(f"{name} must be a finite real number{_bounds(low)}, got {value!r}")
     if positive and not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
+    return float(value)
 
 
 def fields(obj, check, *names: str, **bounds) -> None:

@@ -15,7 +15,6 @@ most significant bit of the state index (see `advqls.sim`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -169,15 +168,14 @@ def decompose(matrix: np.ndarray, prune_eps: float = 1e-12) -> PauliDecompositio
     return PauliDecomposition(num_qubits=num_qubits, terms=terms)
 
 
-@lru_cache(maxsize=4096)
 def label_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string (read-only, cached)."""
+    """Dense 2^Q x 2^Q matrix of a Q-character Pauli string, a new array
+    per call."""
     if not label or any(ch not in PAULI_1Q for ch in label):
         raise ValueError(f"invalid Pauli label {label!r}")
-    m = PAULI_1Q[label[0]]
+    m = PAULI_1Q[label[0]].copy()
     for ch in label[1:]:
         m = np.kron(m, PAULI_1Q[ch])
-    m.setflags(write=False)
     return m
 
 

@@ -13,7 +13,7 @@ condition at the chosen grid spacing and maximum signal speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import _checks
 
@@ -37,8 +37,6 @@ MAX_TAU = 100
 
 # Integers below 2^14284 have at most the 4300 digits Python prints by default.
 MAX_DIMENSION_BITS = 14_284
-
-SWEEP_CSV_HEADER = ["resolution_deg", "dt_s", "n_t", "n", "dimension", "qubits"]
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,11 @@ class SweepRow:
     qubits: int
 
     def as_csv_row(self) -> list:
-        return [self.resolution_deg, self.dt_s, self.n_t, self.n, self.dimension, self.qubits]
+        return [getattr(self, f.name) for f in fields(self)]
+
+
+# the estimate CSV's columns: the fields of `SweepRow`, in order
+SWEEP_CSV_HEADER = [f.name for f in fields(SweepRow)]
 
 
 def sweep(cfg_template: ForecastConfig, resolutions: list[float]) -> list[SweepRow]:

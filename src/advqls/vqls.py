@@ -71,18 +71,24 @@ process: each SPSA iteration makes one `ansatz_amplitudes` call on the
 call, and the solution traces of all members come from one call each
 after the run. `solve` is its one-member case.
 
-What belongs to the spec, not to a member, is built once per process:
-the block system and classical fields (`_reference`), and the
-decomposition, b-prep and `CostEvaluator` with the tables it builds on
-its first cost (`_cost_evaluator`, keyed on the spec and the ansatz).
-Both are `lru_cache`s of a fixed 8 entries, shared by `run_ensemble` and
-the `solve` and `trace` commands. Every array they hold is read-only, so
-no caller can change what a later run reads. Only a second call on an
+The module keeps state across calls in exactly three `lru_cache`s:
+
+- `_unit_tables`, keyed on Q: the table that every `ansatz_amplitudes`
+  call reads, so the kernel never rebuilds it per call;
+- `_reference`, keyed on the spec: the block system and classical fields;
+- `_cost_evaluator`, keyed on the spec and the ansatz: the decomposition,
+  b-prep and `CostEvaluator`, with the tables it builds on its first cost.
+
+The last two hold a fixed 8 entries each and are shared by
+`run_ensemble` and the `solve` and `trace` commands, so what belongs to
+the spec, not to a member, is built once per process; the helpers that
+build it keep nothing. Every array the three caches hold is read-only,
+so no caller can change what a later run reads. Only a second call on an
 equal spec in one process saves time; a first call does every build,
-plus the cache insert. A warm call does the same
-arithmetic on the same inputs as a cold one, so its records are
-byte-identical. The register is capped at `MAX_QUBITS` = 8 qubits,
-which bounds what these caches and the unit tables can hold.
+plus the cache insert. A warm call does the same arithmetic on the same
+inputs as a cold one, so its records are byte-identical. The register is
+capped at `MAX_QUBITS` = 8 qubits, which bounds what these caches can
+hold.
 """
 
 from __future__ import annotations
@@ -201,9 +207,8 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
-@lru_cache(maxsize=None)
 def _entangler(num_qubits: int) -> np.ndarray:
-    """W = (CZ chain) H^(x)Q, the angle-free part of one unit (read-only, cached)."""
+    """W = (CZ chain) H^(x)Q, the angle-free part of one unit."""
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     w = np.ones((1, 1))
     for _ in range(num_qubits):
@@ -213,9 +218,7 @@ def _entangler(num_qubits: int) -> np.ndarray:
     cz_parity = np.zeros_like(idx)
     for q in range(num_qubits - 1):
         cz_parity ^= bits[q] & bits[q + 1]
-    w = (1.0 - 2.0 * cz_parity)[:, None] * w
-    _read_only(w)
-    return w
+    return (1.0 - 2.0 * cz_parity)[:, None] * w
 
 
 @lru_cache(maxsize=None)
@@ -283,26 +286,20 @@ class CostBreakdown:
     readouts: np.ndarray        # (..., C), one per full_sym circuit, beta first
 
 
-@lru_cache(maxsize=None)
 def _z_signs(num_qubits: int) -> np.ndarray:
-    """(Q, 2**Q) diagonals of Z_q, row q for qubit q (read-only, cached)."""
+    """(Q, 2**Q) diagonals of Z_q, row q for qubit q."""
     idx = np.arange(2**num_qubits)
-    z = 1.0 - 2.0 * ((idx >> (num_qubits - 1 - np.arange(num_qubits)[:, None])) & 1)
-    _read_only(z)
-    return z
+    return 1.0 - 2.0 * ((idx >> (num_qubits - 1 - np.arange(num_qubits)[:, None])) & 1)
 
 
-@lru_cache(maxsize=64)
 def _circuit_tables(n_terms: int, num_qubits: int) -> tuple[np.ndarray, ...]:
     """(family, l, l') of each full_sym circuit in order: family 0 (beta)
-    for l < l', then family q + 1 (delta_q) for l <= l', each row by row
-    (read-only, cached)."""
+    for l < l', then family q + 1 (delta_q) for l <= l', each row by row."""
     beta = np.triu_indices(n_terms, 1)
     delta = np.triu_indices(n_terms)
     family = np.repeat(np.arange(1 + num_qubits), [beta[0].size] + [delta[0].size] * num_qubits)
     row = np.concatenate([beta[0]] + [delta[0]] * num_qubits)
     col = np.concatenate([beta[1]] + [delta[1]] * num_qubits)
-    _read_only(family, row, col)
     return family, row, col
 
 
@@ -310,10 +307,8 @@ def _circuit_tables(n_terms: int, num_qubits: int) -> tuple[np.ndarray, ...]:
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
-@lru_cache(maxsize=64)
 def _signed_permutations(labels: tuple[str, ...], num_qubits: int):
-    """Each Pauli string as i^{nY} times a real signed permutation
-    (read-only, cached).
+    """Each Pauli string as i^{nY} times a real signed permutation.
 
     (P_l x)[i] = i^{nY_l} sign[l, i] x[perm[l, i]] with perm[l, i] =
     i ^ flip_l, where flip_l sets the bits of the X and Y qubits of label
@@ -328,9 +323,7 @@ def _signed_permutations(labels: tuple[str, ...], num_qubits: int):
     flips = ((chars == "X") | is_y) @ (1 << shifts)
     perm = np.arange(2**num_qubits) ^ flips[:, None]
     sign = 1.0 - 2.0 * (((chars == "Z") @ bits + is_y @ (1 - bits)) & 1)
-    n_y = is_y.sum(1)
-    _read_only(perm, sign, n_y)
-    return perm, sign, n_y
+    return perm, sign, is_y.sum(1)
 
 
 def _gram_entries(x, perm, sign, k, circuits) -> np.ndarray:

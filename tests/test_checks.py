@@ -4,8 +4,8 @@ entry point that takes numbers.
 The property feeds one field at a time a value of the wrong kind, a
 non-finite one or a NumPy scalar, with every other field at its default.
 Construction either succeeds, storing plain Python values that a JSON
-manifest can hold, or raises a ValueError whose message starts with the
-field's name or quotes it as `field=`.
+manifest can hold (every real field a `float`), or raises a ValueError
+whose message starts with the field's name or quotes it as `field=`.
 """
 
 import dataclasses
@@ -53,6 +53,17 @@ def _plain(built) -> dict:
     return built.to_dict() if isinstance(built, cli.RunConfig) else dataclasses.asdict(built)
 
 
+def _reals(built):
+    """(name, value) of each set float-annotated field of `built` and of
+    the dataclasses it holds."""
+    for f in dataclasses.fields(built):
+        value = getattr(built, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _reals(value)
+        elif f.type in ("float", "float | None") and value is not None:
+            yield f.name, value
+
+
 @settings(max_examples=500, deadline=None)
 @given(case=st.sampled_from(CASES), value=VALUES)
 # the unchecked entry points this policy closed
@@ -63,6 +74,8 @@ def _plain(built) -> dict:
 @example(case=("RunConfig.from_dict", "spsa_overrides"), value=[["max_iter", 5]])
 @example(case=("ProblemSpec", "n"), value=10**400)
 @example(case=("ProblemSpec", "nu"), value=10**400)
+# an integer real, which is stored as a float
+@example(case=("ProblemSpec", "dt"), value=np.int64(3))
 def test_construction_succeeds_or_names_the_field(case, value):
     target, field = case
     build = TARGETS[target][0]
@@ -73,6 +86,8 @@ def test_construction_succeeds_or_names_the_field(case, value):
         assert message.startswith(f"{field} ") or f"{field}=" in message, message
     else:
         json.dumps(_plain(built), allow_nan=False)
+        for name, stored in _reals(built):
+            assert type(stored) is float, (name, stored)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import advqls
 from advqls import cli, pauli, problem, sim, spsa, vqls
 from advqls.vqls import (
     AnsatzConfig,
@@ -643,7 +646,8 @@ class TestSolve:
         # H and G come from the reconstructed operator on the first exact
         # cost and are kept; shot mode never needs them. The readouts' real
         # form (signed permutations, K, f_c, weights) is built on the first
-        # shot cost, and exact mode never needs it
+        # shot cost, and exact mode never needs it. Neither builder is
+        # cached, so each count is of real builds, not of cache lookups
         calls = []
         self.count_calls(monkeypatch, module, builder, calls)
         solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=3, stop_rule="none"), shots=shots, seed=0)
@@ -836,9 +840,28 @@ class TestProcessMemo:
         (problem, "classical_solve"),
         (pauli, "decompose"),
         (pauli, "reconstruct"),
+        (pauli, "label_matrix"),
+        (vqls, "_circuit_tables"),
         (vqls, "_signed_permutations"),
+        (vqls, "_z_signs"),
         (vqls, "_b_preparation"),
     )
+
+    def test_only_three_caches_in_the_package(self):
+        # the state kept across calls: the unit table the ansatz kernel
+        # reads and the two per-spec memos. A `cached_property` keeps its
+        # value per instance, not per process, so it is not counted
+        found = set()
+        for info in pkgutil.iter_modules(advqls.__path__):
+            module = importlib.import_module(f"advqls.{info.name}")
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                for member in [obj, *(vars(obj).values() if isinstance(obj, type) else ())]:
+                    member = getattr(member, "__func__", member)
+                    if hasattr(member, "cache_info"):
+                        found.add(f"{info.name}.{member.__qualname__}")
+        assert found == {"vqls._unit_tables", "vqls._reference", "vqls._cost_evaluator"}
 
     def test_warm_call_builds_nothing(self, cold_memo, monkeypatch, tmp_path):
         cfg = spsa.SpsaConfig(max_iter=2, stop_rule="none")
@@ -887,6 +910,17 @@ class TestProcessMemo:
         assert problem.ProblemSpec(**first[0]) == problem.ProblemSpec(**second[0])
         assert [records(*first), records(*second)] == cold
         assert vqls._reference.cache_info().currsize == 1
+
+    def test_int_and_float_dt_give_equal_records(self, cold_memo):
+        # dt=1 and dt=1.0 are equal specs that share one memo entry; both
+        # store dt as a float, so every "t" of their records matches too
+        cfg = spsa.SpsaConfig(max_iter=2, stop_rule="none")
+        records = []
+        for dt in (1, 1.0):
+            cold_memo()
+            record = solve(problem.ProblemSpec(dt=dt), spsa_cfg=cfg, seed=3)
+            records.append(json.dumps(record.to_dict(), sort_keys=True))
+        assert records[0] == records[1]
 
     def test_cached_arrays_are_read_only(self, cold_memo):
         cfg = spsa.SpsaConfig(max_iter=2, stop_rule="none")
