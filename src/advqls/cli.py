@@ -35,6 +35,13 @@ from . import _checks, pauli, problem, resources, spsa, vqls
 __all__ = ["RunConfig", "main"]
 
 
+def _reject_unknown_keys(what: str, mapping: Mapping, schema) -> None:
+    """Reject the keys of `mapping` that are not fields of the dataclass `schema`, naming them."""
+    unknown = set(mapping) - {f.name for f in dataclasses.fields(schema)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 @dataclass
 class RunConfig:
     """Complete, serializable configuration of an ensemble run."""
@@ -62,10 +69,7 @@ class RunConfig:
             raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
         if not isinstance(self.spsa_overrides, Mapping):
             raise ValueError(f"spsa_overrides must be a mapping, got {self.spsa_overrides!r}")
-        known = {f.name for f in dataclasses.fields(spsa.SpsaConfig)}
-        unknown = set(self.spsa_overrides) - known
-        if unknown:
-            raise ValueError(f"unknown spsa_overrides keys: {sorted(unknown)}")
+        _reject_unknown_keys("spsa_overrides", self.spsa_overrides, spsa.SpsaConfig)
         # the override values pass SpsaConfig's own checks and keep its plain values
         cfg = self.spsa_config()
         self.spsa_overrides = {name: getattr(cfg, name) for name in self.spsa_overrides}
@@ -77,20 +81,14 @@ class RunConfig:
                 "config must be a JSON object of RunConfig fields, got "
                 + json.dumps(data, default=repr)
             )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown_keys("config", data, cls)
         kwargs = dict(data)
         if "problem" in kwargs:
             if not isinstance(kwargs["problem"], Mapping):
                 raise ValueError(
                     f"problem must be a mapping of ProblemSpec fields, got {kwargs['problem']!r}"
                 )
-            fields = {f.name for f in dataclasses.fields(problem.ProblemSpec)}
-            unknown = set(kwargs["problem"]) - fields
-            if unknown:
-                raise ValueError(f"unknown problem keys: {sorted(unknown)}")
+            _reject_unknown_keys("problem", kwargs["problem"], problem.ProblemSpec)
             kwargs["problem"] = problem.ProblemSpec(**kwargs["problem"])
         shots = kwargs.get("shots")
         if shots == "exact":

@@ -8,8 +8,13 @@ at once (four sub-blocks each), so a dense input costs O(N^2 log2 N) in
 Q array passes instead of the O(4^Q N^2) of evaluating every trace
 separately.
 
-Label convention: character 0 of a label acts on qubit 0, which is the
-most significant bit of the state index (see `advqls.sim`).
+The package acts with a Pauli string in one form, P_l = i^{nY_l} S_l
+with nY_l its count of Y and S_l a real signed permutation
+(`signed_permutations`): `reconstruct` scatters it into a dense matrix,
+and the `advqls.vqls` readouts apply S_l to the real ansatz state.
+
+Label convention: num_qubits >= 1 characters of IXYZ; character 0 acts
+on qubit 0, the most significant bit of the state index (see `advqls.sim`).
 """
 
 from __future__ import annotations
@@ -25,16 +30,13 @@ __all__ = [
     "PauliDecomposition",
     "decompose",
     "reconstruct",
-    "label_matrix",
     "pauli_product",
+    "qubit_bits",
+    "signed_permutations",
 ]
 
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# i^k for k = 0..3
+I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 # sigma_a @ sigma_b = phase * sigma_c for the non-identity, distinct pairs
 _PRODUCT = {
@@ -54,9 +56,6 @@ class PauliTerm:
     coefficient: complex
     label: str
 
-    def matrix(self) -> np.ndarray:
-        return self.coefficient * label_matrix(self.label)
-
 
 @dataclass(frozen=True)
 class PauliDecomposition:
@@ -66,12 +65,9 @@ class PauliDecomposition:
     terms: tuple[PauliTerm, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _check_labels(self.num_qubits, self.labels))
         seen = set()
         for term in self.terms:
-            if len(term.label) != self.num_qubits:
-                raise ValueError(
-                    f"label {term.label!r} does not have length {self.num_qubits}"
-                )
             if term.label in seen:
                 raise ValueError(f"duplicate label {term.label!r}")
             seen.add(term.label)
@@ -106,6 +102,16 @@ class PauliDecomposition:
         if not terms:
             raise ValueError("cannot infer qubit count from an empty record list")
         return cls(num_qubits=len(terms[0].label), terms=terms)
+
+
+def _check_labels(num_qubits, labels) -> int:
+    """The one label rule: every label is num_qubits >= 1 characters of
+    IXYZ. Returns num_qubits as a plain int."""
+    num_qubits = _checks.integer("num_qubits", num_qubits, low=1)
+    for label in labels:
+        if len(label) != num_qubits or set(label) - set("IXYZ"):
+            raise ValueError(f"label {label!r} is not {num_qubits} characters of IXYZ")
+    return num_qubits
 
 
 def _num_qubits(matrix: np.ndarray) -> int:
@@ -168,23 +174,39 @@ def decompose(matrix: np.ndarray, prune_eps: float = 1e-12) -> PauliDecompositio
     return PauliDecomposition(num_qubits=num_qubits, terms=terms)
 
 
-def label_matrix(label: str) -> np.ndarray:
-    """Dense 2^Q x 2^Q matrix of a Q-character Pauli string, a new array
-    per call."""
-    if not label or any(ch not in PAULI_1Q for ch in label):
-        raise ValueError(f"invalid Pauli label {label!r}")
-    m = PAULI_1Q[label[0]].copy()
-    for ch in label[1:]:
-        m = np.kron(m, PAULI_1Q[ch])
-    return m
+def qubit_bits(num_qubits: int) -> np.ndarray:
+    """(Q, 2**Q) table whose entry [q, i] is qubit q's bit of the state
+    index i, qubit 0 the most significant bit."""
+    shifts = num_qubits - 1 - np.arange(num_qubits)
+    return (np.arange(2**num_qubits) >> shifts[:, None]) & 1
+
+
+def signed_permutations(decomposition: PauliDecomposition):
+    """Each Pauli string of `decomposition` as i^{nY} times a real signed
+    permutation: (P_l x)[i] = i^{nY_l} sign[l, i] x[perm[l, i]] with
+    perm[l, i] = i ^ flip_l, where flip_l sets the bits of the X and Y
+    qubits of label l, and sign[l, i] is -1 for an odd count of Z qubits
+    with i_q = 1 and Y qubits with i_q = 0 (Y = i [[0, -1], [1, 0]]).
+    Returns (L, 2**Q) perm and sign tables and the (L,) counts nY."""
+    nq, labels = decomposition.num_qubits, decomposition.labels
+    chars = np.array([list(label) for label in labels]).reshape(len(labels), nq)
+    bits = qubit_bits(nq)
+    is_y = chars == "Y"
+    flips = ((chars == "X") | is_y) @ (1 << (nq - 1 - np.arange(nq)))
+    perm = np.arange(2**nq) ^ flips[:, None]
+    sign = 1.0 - 2.0 * (((chars == "Z") @ bits + is_y @ (1 - bits)) & 1)
+    return perm, sign, is_y.sum(1)
 
 
 def reconstruct(decomposition: PauliDecomposition) -> np.ndarray:
-    """Sum the weighted Pauli strings back into a dense matrix."""
+    """Sum the weighted Pauli strings back into a dense matrix: term l adds
+    c_l i^{nY_l} sign[l, i] at (i, perm[l, i]) of every row i (see
+    `signed_permutations`), the terms in label order."""
     dim = 2**decomposition.num_qubits
+    perm, sign, n_y = signed_permutations(decomposition)
+    values = (decomposition.coefficients * I_POWERS[n_y % 4])[:, None] * sign
     out = np.zeros((dim, dim), dtype=complex)
-    for term in decomposition.terms:
-        out += term.matrix()
+    np.add.at(out, (np.broadcast_to(np.arange(dim), perm.shape), perm), values)
     return out
 
 
@@ -194,8 +216,7 @@ def pauli_product(label_a: str, label_b: str) -> tuple[complex, str]:
     The phase is a power of i; the result label never needs a coefficient
     beyond it because the single-qubit algebra is closed.
     """
-    if len(label_a) != len(label_b):
-        raise ValueError("labels must have equal length")
+    _check_labels(len(label_a), (label_a, label_b))
     phase = 1 + 0j
     chars = []
     for a, b in zip(label_a, label_b):

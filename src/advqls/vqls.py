@@ -27,18 +27,19 @@ with w_c = |c_l c_l'|, doubled when l != l'.
 
 The term sum (`CostEvaluator.local_cost_of_state`) evaluates that form
 in real arithmetic. Every Pauli string is P_l = i^{nY_l} S_l, with nY_l
-its count of Y and S_l a real signed permutation, and the ansatz state
-x and the b-prep U are real. So with Y = [S_l x]_l every constituent
-family is one real Gram product G = (Y K) Y^T, over K = I for beta and
-U Z_q U^T for delta_q, and circuit c reads r_c = Re(f_c) G_c with
-f_c = e^{i phi} i^{nY_l' - nY_l}. G_c is a quadratic form x^T M_c x,
-0 for every real x exactly when M_c + M_c^T = 0 and otherwise only on
-a null set, so f_c is set to 0 (the circuit then reads exactly 0) where
-G_c is below 1e-12 on three fixed random probe states; the 16 delta
-circuits of (4, 5) that are only near 0 on ansatz states stay unpinned.
-These tables are built on the evaluator's first term-sum cost (exact
-mode never builds them). Exact,
-the term sum is the independent oracle for the closed form below.
+its count of Y and S_l a real signed permutation
+(`pauli.signed_permutations`), and the ansatz state x and the b-prep U
+are real. So with Y = [S_l x]_l every constituent family is one real
+Gram product G = (Y K) Y^T, over K = I for beta and U Z_q U^T for
+delta_q, and circuit c reads r_c = Re(f_c) G_c with f_c = e^{i phi}
+i^{nY_l' - nY_l}. G_c is a quadratic form x^T M_c x, 0 for every real
+x exactly when M_c + M_c^T = 0 and otherwise only on a null set, so
+f_c is set to 0 (the circuit then reads exactly 0) where G_c is below
+1e-12 on three fixed random probe states; the 16 delta circuits of
+(4, 5) that are only near 0 on ansatz states stay unpinned. These
+tables are built on the evaluator's first term-sum cost (exact mode
+never builds them). Exact, the term sum is the independent oracle for
+the closed form below.
 Sampled, it runs the paper's Hadamard tests: each readout is
 2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
 evaluation draws all of them in one call from a seeded generator the
@@ -51,13 +52,15 @@ The ansatz is real, so the cost is a ratio of two real quadratic forms,
                              G = Re A^dag A,
 
 with H and G built on the evaluator's first exact cost (shot mode never
-builds them), and the state comes from `ansatz_amplitudes` without the
-gate interpreter. Each ansatz unit's real operator, the Ry layer times
-the fixed H/CZ entangler W, is linear in the unit's 2**Q products of
-cos/sin half angles, so one matmul of those products with a cached
-(2**Q, 4**Q) table gives every unit's operator; the table holds 8**Q
-doubles (4 KB at Q = 3, 256 KB at Q = 5, 16 MB at Q = 7, 134 MB at
-Q = MAX_QUBITS = 8).
+builds them) from A = `pauli.reconstruct` of the evaluator's
+decomposition, which scatters the same signed permutations, and the
+state comes from `ansatz_amplitudes` without the gate interpreter. Each
+ansatz unit's real operator, the Ry layer times the fixed H/CZ
+entangler W, is linear in the unit's 2**Q products of cos/sin half
+angles, so one matmul of those products with a cached (2**Q, 4**Q)
+table gives every unit's operator; the table holds 8**Q doubles (4 KB
+at Q = 3, 256 KB at Q = 5, 16 MB at Q = 7, 134 MB at Q = MAX_QUBITS =
+8).
 
 `ansatz_amplitudes`, `rescale_solution`, `CostEvaluator.dense_cost`
 and `CostEvaluator.local_cost_of_state` work over leading axes: (..., P)
@@ -208,17 +211,17 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 def _entangler(num_qubits: int) -> np.ndarray:
-    """W = (CZ chain) H^(x)Q, the angle-free part of one unit."""
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    w = np.ones((1, 1))
-    for _ in range(num_qubits):
-        w = np.kron(w, hadamard)
+    """W = (CZ chain) H^(x)Q, the angle-free part of one unit: entry (i, j)
+    has magnitude 2**(-Q/2) and is negative when the qubits set in both i
+    and j, plus the adjacent qubit pairs both set in i, are odd in count."""
+    bits = pauli.qubit_bits(num_qubits)
     idx = np.arange(2**num_qubits)
-    bits = [(idx >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
-    cz_parity = np.zeros_like(idx)
-    for q in range(num_qubits - 1):
-        cz_parity ^= bits[q] & bits[q + 1]
-    return (1.0 - 2.0 * cz_parity)[:, None] * w
+    # 1/sqrt(2) multiplied in once per qubit: 2**(-Q/2) may differ in its last bit
+    scale = 1.0
+    for _ in range(num_qubits):
+        scale *= 1.0 / np.sqrt(2.0)
+    parity = bits.sum(0)[idx[:, None] & idx] + (bits[:-1] & bits[1:]).sum(0)[:, None]
+    return (1.0 - 2.0 * (parity & 1)) * scale
 
 
 @lru_cache(maxsize=None)
@@ -240,13 +243,10 @@ def _unit_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     16 MB at Q = 7), with R W = (coef @ table).reshape(2**Q, 2**Q).
     """
     idx = np.arange(2**num_qubits)
-    bits = (idx >> (num_qubits - 1 - np.arange(num_qubits)[:, None])) & 1
+    bits = pauli.qubit_bits(num_qubits)
     pick = np.arange(num_qubits)[:, None] + num_qubits * bits
     col = idx[:, None] ^ idx           # col[m, i] = i ^ m
-    flips = ~idx & col
-    parity = np.zeros_like(flips)
-    for q in range(num_qubits):
-        parity ^= (flips >> q) & 1
+    parity = bits.sum(0)[~idx & col] & 1
     table = ((1.0 - 2.0 * parity)[..., None] * _entangler(num_qubits)[col]).reshape(idx.size, -1)
     _read_only(pick, table)
     return pick, table
@@ -288,8 +288,7 @@ class CostBreakdown:
 
 def _z_signs(num_qubits: int) -> np.ndarray:
     """(Q, 2**Q) diagonals of Z_q, row q for qubit q."""
-    idx = np.arange(2**num_qubits)
-    return 1.0 - 2.0 * ((idx >> (num_qubits - 1 - np.arange(num_qubits)[:, None])) & 1)
+    return 1.0 - 2.0 * pauli.qubit_bits(num_qubits)
 
 
 def _circuit_tables(n_terms: int, num_qubits: int) -> tuple[np.ndarray, ...]:
@@ -301,29 +300,6 @@ def _circuit_tables(n_terms: int, num_qubits: int) -> tuple[np.ndarray, ...]:
     row = np.concatenate([beta[0]] + [delta[0]] * num_qubits)
     col = np.concatenate([beta[1]] + [delta[1]] * num_qubits)
     return family, row, col
-
-
-# i^k for k = 0..3
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
-
-
-def _signed_permutations(labels: tuple[str, ...], num_qubits: int):
-    """Each Pauli string as i^{nY} times a real signed permutation.
-
-    (P_l x)[i] = i^{nY_l} sign[l, i] x[perm[l, i]] with perm[l, i] =
-    i ^ flip_l, where flip_l sets the bits of the X and Y qubits of label
-    l, and sign[l, i] is -1 for an odd count of Z qubits with i_q = 1 and
-    Y qubits with i_q = 0 (Y = i [[0, -1], [1, 0]]). Returns (L, 2**Q)
-    perm and sign tables and the (L,) counts nY.
-    """
-    chars = np.array([list(label) for label in labels]).reshape(len(labels), num_qubits)
-    shifts = num_qubits - 1 - np.arange(num_qubits)
-    bits = (np.arange(2**num_qubits) >> shifts[:, None]) & 1
-    is_y = chars == "Y"
-    flips = ((chars == "X") | is_y) @ (1 << shifts)
-    perm = np.arange(2**num_qubits) ^ flips[:, None]
-    sign = 1.0 - 2.0 * (((chars == "Z") @ bits + is_y @ (1 - bits)) & 1)
-    return perm, sign, is_y.sum(1)
 
 
 def _gram_entries(x, perm, sign, k, circuits) -> np.ndarray:
@@ -401,14 +377,14 @@ class CostEvaluator:
         vectors from a private `default_rng(0)`."""
         nq, n_terms, c, u = self.num_qubits, self.term_count, self.coefficients, self.u.real
         family, row, col = _circuit_tables(n_terms, nq)
-        perm, sign, n_y = _signed_permutations(self.labels, nq)
+        perm, sign, n_y = pauli.signed_permutations(self.decomposition)
         k = np.concatenate((np.eye(2**nq)[None], (u * _z_signs(nq)[:, None, :]) @ u.T))
         k = k.transpose(1, 0, 2).reshape(2**nq, -1)
         tables = perm, sign, k, (row * (1 + nq) + family) * n_terms + col
         probes = np.random.default_rng(0).standard_normal((3, 2**nq))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         phase = np.exp(1j * np.angle(np.outer(c.conj(), c)))
-        f = (phase * _I_POWERS[(n_y - n_y[:, None]) % 4])[row, col].real
+        f = (phase * pauli.I_POWERS[(n_y - n_y[:, None]) % 4])[row, col].real
         f[(np.abs(_gram_entries(probes, *tables)) < 1e-12).all(0)] = 0.0
         weights = np.where(row == col, 1.0, 2.0) * np.abs(c[row] * c[col])
         beta_count, norm2 = n_terms * (n_terms - 1) // 2, float(np.sum(np.abs(c) ** 2))

@@ -11,6 +11,7 @@ from dataclasses import replace
 from itertools import product
 
 from advqls import pauli, problem, resources, sim, spsa, vqls
+from oracles import label_matrix
 
 SPEC = problem.ProblemSpec()
 ANSATZ = vqls.AnsatzConfig(num_qubits=3, units=4)
@@ -80,7 +81,7 @@ def test_criterion_3_decomposition_roundtrip():
     oracle = {}
     for chars in product("IXYZ", repeat=3):
         label = "".join(chars)
-        c = complex(np.trace(pauli.label_matrix(label) @ system.a_reduced) / 8.0)
+        c = complex(np.trace(label_matrix(label) @ system.a_reduced) / 8.0)
         if abs(c) > 1e-12:
             oracle[label] = c
     coeff_err = (
@@ -105,7 +106,7 @@ def test_criterion_4_cost_equivalence():
     projector = np.zeros((8, 8), dtype=complex)
     for q in range(3):
         z_label = "I" * q + "Z" + "I" * (2 - q)
-        projector += (np.eye(8) + pauli.label_matrix(z_label)) / 2.0
+        projector += (np.eye(8) + label_matrix(z_label)) / 2.0
     h = a.conj().T @ u @ (np.eye(8) - projector / 3.0) @ u.conj().T @ a
 
     rng = np.random.default_rng(99)

@@ -11,10 +11,10 @@ from advqls.pauli import (
     PauliDecomposition,
     PauliTerm,
     decompose,
-    label_matrix,
     pauli_product,
     reconstruct,
 )
+from oracles import label_matrix
 
 
 def trace_coordinates(matrix: np.ndarray) -> dict[str, complex]:
@@ -167,6 +167,27 @@ class TestReconstruct:
         expected = np.diag([2 + 1j, -(2 + 1j), -(2 + 1j), 2 + 1j])
         assert_allclose(reconstruct(d), expected)
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_kronecker_sum_bit_for_bit(self, data):
+        # any label set, Y-bearing labels and complex coefficients
+        # included, not only what `decompose` produces: the signed
+        # permutations scatter the same products, summed in the same
+        # order, as the dense Kronecker oracle
+        num_qubits = data.draw(st.integers(1, 6))
+        labels = data.draw(st.lists(
+            st.text("IXYZ", min_size=num_qubits, max_size=num_qubits), max_size=12, unique=True
+        ))
+        parts = st.floats(-1e6, 1e6, allow_nan=False)
+        coefficients = data.draw(st.lists(
+            st.builds(complex, parts, parts), min_size=len(labels), max_size=len(labels)
+        ))
+        d = PauliDecomposition(num_qubits, tuple(map(PauliTerm, coefficients, labels)))
+        expected = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
+        for c, label in zip(coefficients, labels):
+            expected += c * label_matrix(label)
+        assert reconstruct(d).tobytes() == expected.tobytes()
+
 
 class TestAccessors:
     def test_term_count_values(self):
@@ -186,6 +207,18 @@ class TestAccessors:
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
             PauliDecomposition(num_qubits=2, terms=(PauliTerm(1, "X"),))
+
+    def test_label_characters_checked(self):
+        # a label outside IXYZ would read as identity in the term sum but
+        # fail the closed form, so it is rejected where it enters
+        records = [{"label": "QQQ", "re": 1.0}, {"label": "XII", "re": 0.5}]
+        with pytest.raises(ValueError, match="'QQQ' is not 3 characters of IXYZ"):
+            PauliDecomposition.from_records(records)
+
+    @pytest.mark.parametrize("num_qubits", [0, -1, 1.0, True])
+    def test_num_qubits_checked(self, num_qubits):
+        with pytest.raises(ValueError, match="num_qubits must be an integer >= 1"):
+            PauliDecomposition(num_qubits=num_qubits, terms=())
 
 
 class TestAlgebraicProperties:
@@ -250,8 +283,19 @@ class TestPauliProduct:
         assert pauli_product("I", "Y") == (1, "Y")
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'X' is not 2 characters of IXYZ"):
             pauli_product("XY", "X")
+
+    @pytest.mark.parametrize(
+        "label_a, label_b, bad", [("IQ", "II", "IQ"), ("QX", "XX", "QX"), ("XX", "Xy", "Xy")]
+    )
+    def test_label_characters_checked(self, label_a, label_b, bad):
+        with pytest.raises(ValueError, match=f"'{bad}' is not 2 characters of IXYZ"):
+            pauli_product(label_a, label_b)
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="num_qubits must be an integer >= 1"):
+            pauli_product("", "")
 
 
 class TestSerialization:

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from advqls import problem
-from advqls.pauli import label_matrix
 from advqls.sim import (
     Circuit,
     Gate,
@@ -11,6 +10,7 @@ from advqls.sim import (
     prepare_b_circuit,
     sample_expectation,
 )
+from oracles import label_matrix
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advqls import pauli, problem, sim, spsa, vqls
+from oracles import label_matrix
 
 SHAPES = [(4, 3), (8, 2), (4, 5), (8, 3), (16, 2)]
 
@@ -119,7 +120,7 @@ def complex_product_readouts(evaluator, amplitudes):
     (beta for l < l', then delta_q for l <= l') reads
     Re(e^{i phi} constituent) with e^{i phi} = c_l* c_l' / |c_l c_l'|."""
     nq, n_terms, c = evaluator.num_qubits, evaluator.term_count, evaluator.coefficients
-    paulis = np.stack([pauli.label_matrix(l) for l in evaluator.labels])
+    paulis = np.stack([label_matrix(l) for l in evaluator.labels])
     u_dag = evaluator.u.conj().T
     idx = np.arange(2**nq)
     z = np.array([1.0 - 2.0 * ((idx >> (nq - 1 - q)) & 1) for q in range(nq)])

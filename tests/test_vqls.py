@@ -25,6 +25,7 @@ from advqls.vqls import (
     run_ensemble,
     solve,
 )
+from oracles import label_matrix
 
 SPEC = problem.ProblemSpec()
 SYSTEM = problem.build_block_system(SPEC)
@@ -48,7 +49,7 @@ def dense_projector_cost(theta: np.ndarray) -> float:
     projector_sum = np.zeros((dim, dim), dtype=complex)
     for q in range(num_qubits):
         z_label = "I" * q + "Z" + "I" * (num_qubits - 1 - q)
-        projector_sum += (np.eye(dim) + pauli.label_matrix(z_label)) / 2.0
+        projector_sum += (np.eye(dim) + label_matrix(z_label)) / 2.0
     h = a.conj().T @ u @ (np.eye(dim) - projector_sum / num_qubits) @ u.conj().T @ a
     x = ansatz_state(ANSATZ, theta)
     psi = a @ x
@@ -190,9 +191,9 @@ def test_antisymmetric_circuits_read_exactly_zero(n, n_t, pinned):
     ev, cfg = _spec_evaluator(n, n_t)
     nq, u = cfg.num_qubits, ev.u.real
     stack = [np.eye(2**nq)] + [
-        u @ pauli.label_matrix("I" * q + "Z" + "I" * (nq - 1 - q)).real @ u.T for q in range(nq)
+        u @ label_matrix("I" * q + "Z" + "I" * (nq - 1 - q)).real @ u.T for q in range(nq)
     ]
-    dense = [pauli.label_matrix(label) for label in ev.labels]
+    dense = [label_matrix(label) for label in ev.labels]
     zero = []
     for q, l, lp in full_sym_circuits(nq, ev.term_count):
         c = dense[l] @ stack[0 if q is None else 1 + q] @ dense[lp]
@@ -313,7 +314,7 @@ class TestSampledStrings:
         u = prep.unitary() if isinstance(prep, sim.Circuit) else prep
         ev, cfg = _spec_evaluator(n, n_t)
         nq, c = cfg.num_qubits, ev.coefficients
-        paulis = [pauli.label_matrix(label) for label in ev.labels]
+        paulis = [label_matrix(label) for label in ev.labels]
         z_labels = ["I" * q + "Z" + "I" * (nq - 1 - q) for q in range(nq)]
         theta = np.random.default_rng(n * n_t).uniform(0, 2 * np.pi, cfg.n_params)
         x = ansatz_state(cfg, theta)
@@ -325,7 +326,7 @@ class TestSampledStrings:
         assert p.size == exact.size == len(circuits)
         for (q, l, lp), p_evaluator, r in zip(circuits, p, exact):
             phase = np.conj(c[l]) * c[lp] / abs(c[l] * c[lp])
-            z = None if q is None else pauli.label_matrix(z_labels[q])
+            z = None if q is None else label_matrix(z_labels[q])
             p0 = hadamard_test_p0(x, phase, paulis[l], paulis[lp], u, z)
             assert abs(p0 - p_evaluator) <= 1e-12
             assert abs(2.0 * p0 - 1.0 - r) <= 1e-12
@@ -637,17 +638,19 @@ class TestSolve:
         [
             pytest.param(None, pauli, "reconstruct", 1, id="None-1"),
             pytest.param(512, pauli, "reconstruct", 0, id="512-0"),
-            pytest.param(None, vqls, "_signed_permutations", 0, id="None-readouts-0"),
-            pytest.param(512, vqls, "_signed_permutations", 1, id="512-readouts-1"),
+            pytest.param(None, vqls, "_circuit_tables", 0, id="None-readouts-0"),
+            pytest.param(512, vqls, "_circuit_tables", 1, id="512-readouts-1"),
         ],
     )
     @pytest.mark.usefixtures("cold_memo")
     def test_closed_form_built_only_for_exact_costs(self, monkeypatch, shots, module, builder, builds):
         # H and G come from the reconstructed operator on the first exact
         # cost and are kept; shot mode never needs them. The readouts' real
-        # form (signed permutations, K, f_c, weights) is built on the first
-        # shot cost, and exact mode never needs it. Neither builder is
-        # cached, so each count is of real builds, not of cache lookups
+        # form (circuit tables, K, f_c, weights) is built on the first shot
+        # cost, and exact mode never needs it; its circuit tables stand for
+        # it, since `reconstruct` reads the signed permutations too. Neither
+        # builder is cached, so each count is of real builds, not of cache
+        # lookups
         calls = []
         self.count_calls(monkeypatch, module, builder, calls)
         solve(SPEC, spsa_cfg=spsa.SpsaConfig(max_iter=3, stop_rule="none"), shots=shots, seed=0)
@@ -840,9 +843,8 @@ class TestProcessMemo:
         (problem, "classical_solve"),
         (pauli, "decompose"),
         (pauli, "reconstruct"),
-        (pauli, "label_matrix"),
+        (pauli, "signed_permutations"),
         (vqls, "_circuit_tables"),
-        (vqls, "_signed_permutations"),
         (vqls, "_z_signs"),
         (vqls, "_b_preparation"),
     )
