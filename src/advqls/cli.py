@@ -49,7 +49,7 @@ class RunConfig:
     problem: problem.ProblemSpec = field(default_factory=problem.ProblemSpec)
     ansatz_units: int = 4
     spsa_overrides: dict = field(default_factory=dict)
-    shots: int | None = None            # None = exact expectations
+    shots: int | None = None            # None or "exact" = exact expectations
     ensemble_size: int = 24
     base_seed: int = 0
     workers: int = 1                    # members run in lockstep in one process
@@ -61,6 +61,8 @@ class RunConfig:
         _checks.fields(self, _checks.integer, "ensemble_size", "ansatz_units", low=1)
         _checks.fields(self, _checks.integer, "base_seed", low=0)
         self.workers = vqls._check_workers(self.workers)
+        if self.shots == "exact":
+            self.shots = None
         if self.shots is not None:
             self.shots = _checks.integer("shots", self.shots, 1, vqls.MAX_SHOTS)
         if not isinstance(self.classical_only, bool):
@@ -90,9 +92,6 @@ class RunConfig:
                 )
             _reject_unknown_keys("problem", kwargs["problem"], problem.ProblemSpec)
             kwargs["problem"] = problem.ProblemSpec(**kwargs["problem"])
-        shots = kwargs.get("shots")
-        if shots == "exact":
-            kwargs["shots"] = None
         return cls(**kwargs)
 
     @classmethod
@@ -118,15 +117,12 @@ def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "ensemble", None) is not None:
         changes["ensemble_size"] = args.ensemble
     if getattr(args, "shots", None) is not None:
-        if args.shots == "exact":
-            changes["shots"] = None
-        else:
-            try:
-                changes["shots"] = int(args.shots)
-            except ValueError:
-                raise ValueError(
-                    f"--shots must be an integer >= 1 or 'exact', got {args.shots!r}"
-                ) from None
+        try:
+            changes["shots"] = args.shots if args.shots == "exact" else int(args.shots)
+        except ValueError:
+            raise ValueError(
+                f"--shots must be an integer >= 1 or 'exact', got {args.shots!r}"
+            ) from None
     if getattr(args, "classical_only", False):
         changes["classical_only"] = True
     return dataclasses.replace(cfg, **changes)

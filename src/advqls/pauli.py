@@ -97,7 +97,11 @@ class PauliDecomposition:
     @classmethod
     def from_records(cls, records: list[dict]) -> "PauliDecomposition":
         terms = tuple(
-            PauliTerm(complex(r["re"], r.get("im", 0.0)), r["label"]) for r in records
+            PauliTerm(
+                complex(_checks.real("re", r["re"]), _checks.real("im", r.get("im", 0.0))),
+                r["label"],
+            )
+            for r in records
         )
         if not terms:
             raise ValueError("cannot infer qubit count from an empty record list")
@@ -105,11 +109,11 @@ class PauliDecomposition:
 
 
 def _check_labels(num_qubits, labels) -> int:
-    """The one label rule: every label is num_qubits >= 1 characters of
-    IXYZ. Returns num_qubits as a plain int."""
+    """The one label rule: every label is a str of num_qubits >= 1
+    characters of IXYZ. Returns num_qubits as a plain int."""
     num_qubits = _checks.integer("num_qubits", num_qubits, low=1)
     for label in labels:
-        if len(label) != num_qubits or set(label) - set("IXYZ"):
+        if not isinstance(label, str) or len(label) != num_qubits or set(label) - set("IXYZ"):
             raise ValueError(f"label {label!r} is not {num_qubits} characters of IXYZ")
     return num_qubits
 

@@ -204,8 +204,7 @@ def classical_solve(system: BlockSystem) -> np.ndarray:
 
 def analytic_solution(spec: ProblemSpec, t: float) -> np.ndarray:
     """Decaying single-mode reference: exp(-kappa^2 nu t) sin(kappa x)."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    t = _checks.real("t", t, low=0)
     return np.exp(-spec.kappa**2 * spec.nu * t) * initial_condition(spec)
 
 

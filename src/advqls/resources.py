@@ -79,25 +79,17 @@ def grid_points(cfg: ForecastConfig) -> int:
 
 
 def vector_dimension(n: int, tau: int, n_t: int) -> int:
-    """Exact N = n_t * n * (n^tau - 1) / (n - 1)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 coupled equations, got {n}")
-    if tau < 1:
-        raise ValueError(f"truncation order must be >= 1, got {tau}")
-    if n_t < 1:
-        raise ValueError(f"need n_t >= 1 time levels, got {n_t}")
-    numerator = n**tau - 1
-    quotient, remainder = divmod(numerator, n - 1)
-    if remainder:
-        raise ArithmeticError("geometric sum (n^tau - 1)/(n - 1) is not integral")
-    return n_t * n * quotient
+    """Exact N = n_t * n * (n^tau - 1) / (n - 1) for integers n >= 2,
+    1 <= tau <= MAX_TAU and n_t >= 1."""
+    n = _checks.integer("n", n, low=2)
+    tau = _checks.integer("tau", tau, 1, MAX_TAU)
+    n_t = _checks.integer("n_t", n_t, low=1)
+    return n_t * n * ((n**tau - 1) // (n - 1))
 
 
 def qubit_count(dimension: int) -> int:
     """Smallest register whose Hilbert space holds `dimension` states."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    return (dimension - 1).bit_length() if dimension > 1 else 0
+    return (_checks.integer("dimension", dimension, low=1) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -127,13 +119,13 @@ def sweep(cfg_template: ForecastConfig, resolutions: list[float]) -> list[SweepR
         try:
             dt, n_t = cfl_timestep(cfg)
             n = grid_points(cfg)
-            dimension = vector_dimension(n, cfg.tau, n_t)
         except OverflowError:
             raise ValueError(
                 f"resolution {resolution} deg is too fine: its grid overflows a float"
             ) from None
-        except ValueError as exc:  # e.g. a grid coarser than one cell
-            raise ValueError(f"resolution {resolution} deg: {exc}") from None
+        if n < 2:  # a grid coarser than one cell
+            raise ValueError(f"resolution {resolution} deg: need n >= 2 coupled equations, got {n}")
+        dimension = vector_dimension(n, cfg.tau, n_t)
         if dimension.bit_length() > MAX_DIMENSION_BITS:
             raise ValueError(
                 f"resolution {resolution} deg gives a dimension too long to print "

@@ -20,6 +20,14 @@ new one, prepared from |0...0>, and `expectation` and
 k ~ Binomial(shots, (1 + r) / 2); `shot_estimates` draws that estimate,
 2k / shots - 1, for `sample_expectation` at r = <P> and for `vqls` shot
 mode at each Hadamard-test readout.
+
+Inputs follow the package's one policy. A `Circuit` gets its gates only
+through its builders, which check every qubit index and angle with
+`advqls._checks`, so `run` and `unitary` trust the gate list. The
+readouts check a label with the Pauli-label rule of `advqls.pauli` on
+the register their amplitudes span, and `shots` and an integer `seed`
+with `advqls._checks`. `shot_estimates` runs once per shot-mode cost
+evaluation and checks nothing: its callers have checked `shots`.
 """
 
 from __future__ import annotations
@@ -29,7 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks, pauli
+
 __all__ = [
+    "MAX_SHOTS",
     "Gate",
     "Circuit",
     "expectation",
@@ -37,6 +48,9 @@ __all__ = [
     "shot_estimates",
     "prepare_b_circuit",
 ]
+
+# `Generator.binomial` takes shot counts as int64
+MAX_SHOTS = 2**63 - 1
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
@@ -73,37 +87,36 @@ class Gate:
 
 @dataclass
 class Circuit:
-    """An ordered gate list over {H, Ry, CZ, CRy}."""
+    """An ordered gate list over {H, Ry, CZ, CRy}, built only through
+    `h`, `ry`, `cz` and `cry`."""
 
     num_qubits: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: list[Gate] = field(default_factory=list, init=False)
 
-    def _check(self, *qubits: int) -> None:
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit index {q} out of range for {self.num_qubits} qubits")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("control and target must differ")
+    def __post_init__(self):
+        self.num_qubits = _checks.integer("num_qubits", self.num_qubits, low=1)
+
+    def _add(self, name: str, angle: float | None, **qubits: int) -> "Circuit":
+        """The one gate rule: every qubit index is in range, and a control
+        differs from its target."""
+        high = self.num_qubits - 1
+        checked = tuple(_checks.integer(arg, q, 0, high) for arg, q in qubits.items())
+        if len(set(checked)) != len(checked):
+            raise ValueError(f"control and target must differ, got {checked}")
+        self.gates.append(Gate(name, checked, angle))
+        return self
 
     def h(self, q: int) -> "Circuit":
-        self._check(q)
-        self.gates.append(Gate("h", (q,)))
-        return self
+        return self._add("h", None, q=q)
 
     def ry(self, angle: float, q: int) -> "Circuit":
-        self._check(q)
-        self.gates.append(Gate("ry", (q,), float(angle)))
-        return self
+        return self._add("ry", _checks.real("angle", angle), q=q)
 
     def cz(self, control: int, target: int) -> "Circuit":
-        self._check(control, target)
-        self.gates.append(Gate("cz", (control, target)))
-        return self
+        return self._add("cz", None, control=control, target=target)
 
     def cry(self, angle: float, control: int, target: int) -> "Circuit":
-        self._check(control, target)
-        self.gates.append(Gate("cry", (control, target), float(angle)))
-        return self
+        return self._add("cry", _checks.real("angle", angle), control=control, target=target)
 
     def run(self) -> np.ndarray:
         """Amplitudes of the circuit applied to |0...0>."""
@@ -123,35 +136,24 @@ class Circuit:
 
 def _apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     """One gate on a state, or on every column of a matrix."""
-    num_qubits = amps.shape[0].bit_length() - 1
-    for q in gate.qubits:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
     if gate.name == "h":
         return _on_qubit(_H, amps, gate.qubits[0])
     if gate.name == "ry":
         return _on_qubit(_ry(gate.angle), amps, gate.qubits[0])
+    control, target = gate.qubits
     if gate.name == "cz":
-        control, target = gate.qubits
         return np.where(_is_one(amps, control) & _is_one(amps, target), -amps, amps)
-    if gate.name == "cry":
-        control, target = gate.qubits
-        return np.where(_is_one(amps, control), _on_qubit(_ry(gate.angle), amps, target), amps)
-    raise ValueError(f"unknown gate {gate.name!r}")
-
-
-def _validate_label(amplitudes: np.ndarray, label: str) -> None:
-    if 2 ** len(label) != amplitudes.size:
-        raise ValueError(
-            f"label length {len(label)} does not match {amplitudes.size} amplitudes"
-        )
-    if any(ch not in "IXYZ" for ch in label):
-        raise ValueError(f"invalid Pauli label {label!r}")
+    return np.where(_is_one(amps, control), _on_qubit(_ry(gate.angle), amps, target), amps)
 
 
 def expectation(amplitudes: np.ndarray, label: str) -> float:
-    """Exact <psi|P|psi> for a Pauli-string label."""
-    _validate_label(amplitudes, label)
+    """Exact <psi|P|psi> for a Pauli-string label on the register the
+    amplitudes span."""
+    amplitudes = np.asarray(amplitudes)
+    size = amplitudes.size
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"amplitudes must span a register of >= 1 qubits, got {size} amplitudes")
+    pauli._check_labels(size.bit_length() - 1, (label,))
     transformed = amplitudes
     for q, ch in enumerate(label):
         if ch != "I":
@@ -161,7 +163,8 @@ def expectation(amplitudes: np.ndarray, label: str) -> float:
 
 def shot_estimates(means, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Shot estimates of +/-1 readouts with the given means, elementwise:
-    2k / shots - 1 with k ~ Binomial(shots, (1 + r) / 2)."""
+    2k / shots - 1 with k ~ Binomial(shots, (1 + r) / 2). Its callers
+    check `shots`, an integer in [1, MAX_SHOTS]."""
     # rounding can put r a few ulps outside [-1, 1] near the solution
     p = np.minimum(np.maximum((1.0 + means) / 2.0, 0.0), 1.0)
     return 2.0 * rng.binomial(shots, p) / shots - 1.0
@@ -175,9 +178,9 @@ def sample_expectation(
 ) -> float:
     """Shot-sampled <psi|P|psi> / <psi|psi> of one Pauli string: the mean
     of `shots` +/-1 parity outcomes, one `shot_estimates` draw."""
-    _validate_label(amplitudes, label)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = _checks.integer("shots", shots, 1, MAX_SHOTS)
+    if not (seed is None or isinstance(seed, np.random.Generator)):
+        seed = _checks.integer("seed", seed, low=0)
     mean = expectation(amplitudes, label) / float(np.vdot(amplitudes, amplitudes).real)
     return float(shot_estimates(mean, shots, np.random.default_rng(seed)))
 
@@ -192,10 +195,9 @@ def prepare_b_circuit(phi_deg: float, num_qubits: int = 3) -> Circuit:
     branch at 1 needs Ry(phi - pi)|0>; the CRy supplies the difference on
     top of the unconditional rotation.
     """
-    if num_qubits < 2:
-        raise ValueError("the right-hand-side template needs at least 2 qubits")
+    num_qubits = _checks.integer("num_qubits", num_qubits, low=2)
     upper, lower = num_qubits - 2, num_qubits - 1
-    phi = math.radians(phi_deg)
+    phi = math.radians(_checks.real("phi_deg", phi_deg))
     circuit = Circuit(num_qubits)
     circuit.h(upper)
     circuit.ry(-phi, lower)

@@ -102,6 +102,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _checks, pauli, problem, sim, spsa
+from .sim import MAX_SHOTS
 
 __all__ = [
     "AnsatzConfig",
@@ -316,10 +317,6 @@ def _gram_entries(x, perm, sign, k, circuits) -> np.ndarray:
     return gram.reshape(gram.shape[:-2] + (-1,)).take(circuits, -1)
 
 
-# `Generator.binomial` takes shot counts as int64
-MAX_SHOTS = 2**63 - 1
-
-
 def _check_workers(workers) -> int:
     if _checks.integer("workers", workers) != 1:
         raise ValueError(
@@ -495,7 +492,7 @@ def circuit_count(num_qubits: int, n_terms: int, mode: str = "baseline") -> int:
         return q * l * l + off_diag
     if mode == "full_sym":
         return (q + 1) * off_diag + q * l
-    raise ValueError(f"mode must be one of {_COUNT_MODES}")
+    raise ValueError(f"mode must be one of {_COUNT_MODES}, got {mode!r}")
 
 
 def is_submittable(count: int) -> bool:

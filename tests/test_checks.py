@@ -1,14 +1,19 @@
 """The numeric input policy of `advqls._checks` at every constructor and
 entry point that takes numbers.
 
-The property feeds one field at a time a value of the wrong kind, a
+The first property feeds one field at a time a value of the wrong kind, a
 non-finite one or a NumPy scalar, with every other field at its default.
 Construction either succeeds, storing plain Python values that a JSON
 manifest can hold (every real field a `float`), or raises a ValueError
 whose message starts with the field's name or quotes it as `field=`.
+The second property does the same for the arguments of the module-level
+functions and the `Circuit` builders: a call either returns a valid
+result or raises a ValueError whose message starts with the argument's
+name.
 """
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -16,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advqls import _checks, cli, problem, resources, spsa, vqls
+from advqls import _checks, cli, pauli, problem, resources, sim, spsa, vqls
 
 
 def _forecast(**kwargs):
@@ -88,6 +93,129 @@ def test_construction_succeeds_or_names_the_field(case, value):
         json.dumps(_plain(built), allow_nan=False)
         for name, stored in _reals(built):
             assert type(stored) is float, (name, stored)
+
+
+STATE = sim.Circuit(2).run()    # |00>: every readout of "ZI" is exactly 1
+
+
+def _circuit(num_qubits=2):
+    return sim.Circuit(num_qubits)
+
+
+def _h(q=0):
+    return sim.Circuit(2).h(q)
+
+
+def _ry(angle=0.5, q=0):
+    return sim.Circuit(2).ry(angle, q)
+
+
+def _cz(control=0, target=1):
+    return sim.Circuit(2).cz(control, target)
+
+
+def _cry(angle=0.5, control=0, target=1):
+    return sim.Circuit(2).cry(angle, control, target)
+
+
+def _expectation(amplitudes=STATE, label="ZI"):
+    return sim.expectation(amplitudes, label)
+
+
+def _sample_expectation(label="ZI", shots=16, seed=0):
+    return sim.sample_expectation(STATE, label, shots, seed)
+
+
+def _prepare_b_circuit(phi_deg=10.0, num_qubits=3):
+    return sim.prepare_b_circuit(phi_deg, num_qubits)
+
+
+def _from_records(re=1.0, im=0.0):
+    return pauli.PauliDecomposition.from_records([{"label": "XZ", "re": re, "im": im}])
+
+
+def _analytic_solution(t=1.0):
+    return problem.analytic_solution(problem.ProblemSpec(), t)
+
+
+def _qubit_count(dimension=8):
+    return resources.qubit_count(dimension)
+
+
+def _vector_dimension(n=2, tau=3, n_t=1):
+    return resources.vector_dimension(n, tau, n_t)
+
+
+def _unit_state(circuit):
+    assert type(circuit.num_qubits) is int
+    if circuit.num_qubits <= 3:     # a register small enough to run
+        assert np.linalg.norm(circuit.run()) == pytest.approx(1.0)
+
+
+def _reads_one(value):
+    assert value == 1.0
+
+
+def _json_records(decomposition):
+    json.dumps(decomposition.to_records(), allow_nan=False)
+
+
+def _finite(values):
+    assert np.isfinite(values).all()
+
+
+def _plain_int(value):
+    assert type(value) is int
+
+
+# each entry point with valid defaults, and the check of what it returns
+CALLS = {
+    "Circuit": (_circuit, _unit_state),
+    "Circuit.h": (_h, _unit_state),
+    "Circuit.ry": (_ry, _unit_state),
+    "Circuit.cz": (_cz, _unit_state),
+    "Circuit.cry": (_cry, _unit_state),
+    "expectation": (_expectation, _reads_one),
+    "sample_expectation": (_sample_expectation, _reads_one),
+    "prepare_b_circuit": (_prepare_b_circuit, _unit_state),
+    "from_records": (_from_records, _json_records),
+    "analytic_solution": (_analytic_solution, _finite),
+    "qubit_count": (_qubit_count, _plain_int),
+    "vector_dimension": (_vector_dimension, _plain_int),
+}
+CALL_CASES = [
+    (target, argument)
+    for target, (call, _) in CALLS.items()
+    for argument in inspect.signature(call).parameters
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.sampled_from(CALL_CASES), value=VALUES)
+# the unchecked arguments this policy closed
+@example(case=("sample_expectation", "shots"), value=2.5)
+@example(case=("sample_expectation", "seed"), value=-1)
+@example(case=("Circuit.ry", "angle"), value=float("nan"))
+@example(case=("Circuit.h", "q"), value=0.5)
+@example(case=("prepare_b_circuit", "num_qubits"), value=2.5)
+@example(case=("expectation", "amplitudes"), value=np.ones(1))
+@example(case=("from_records", "re"), value=float("nan"))
+@example(case=("vector_dimension", "n"), value=2.0)
+@example(case=("qubit_count", "dimension"), value=True)
+@example(case=("analytic_solution", "t"), value=float("nan"))
+def test_call_returns_or_names_the_argument(case, value):
+    target, argument = case
+    call, check = CALLS[target]
+    try:
+        result = call(**{argument: value})
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{argument} ") or (
+            argument in ("control", "target") and message.startswith("control and target ")
+        ), message
+    else:
+        assert not isinstance(value, (bool, np.bool_)), "a bool was taken for a number"
+        check(result)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -44,6 +46,11 @@ class TestRunConfig:
     def test_exact_keyword(self):
         assert RunConfig.from_dict({"shots": "exact"}).shots is None
         assert RunConfig.from_dict({"shots": 128}).shots == 128
+        # a config file, the --shots flag and a direct construction share one mapping
+        assert RunConfig(shots="exact").shots is None
+        assert dataclasses.replace(RunConfig(shots=128), shots="exact").shots is None
+        overrides = argparse.Namespace(shots="exact")
+        assert cli._apply_cli_overrides(RunConfig(shots=128), overrides).shots is None
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -424,6 +431,14 @@ class TestCircuitsCommand:
 
     def test_invalid_range(self, tmp_path, capsys):
         assert main(["circuits", "--l-min", "5", "--l-max", "2", "--out", str(tmp_path)]) == 1
+
+    def test_unknown_mode_is_named(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["circuits", "--modes", "full_sym,bogus", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            "mode must be one of ('baseline', 'beta_sym', 'full_sym'), got 'bogus'"
+        )
+        assert not out.exists()
 
 
 class TestEstimateCommand:

@@ -98,11 +98,13 @@ class TestApply:
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_out_of_range_qubit(self):
-        # a gate list passed to the constructor bypasses the builder's checks
-        with pytest.raises(ValueError, match="out of range"):
-            Circuit(2, [Gate("h", (2,))]).run()
-        with pytest.raises(ValueError):
+        # gates come only through the builders, which check every index
+        with pytest.raises(TypeError):
+            Circuit(2, [Gate("h", (2,))])
+        with pytest.raises(ValueError, match=r"^q must be an integer in \[0, 1\], got 5"):
             Circuit(2).h(5)
+        with pytest.raises(ValueError, match=r"^control and target must differ"):
+            Circuit(2).cry(1.0, 0, 0)
 
     def test_circuit_unitary_matches_run(self):
         rng = np.random.default_rng(31)
@@ -147,6 +149,20 @@ class TestExpectation:
     def test_label_size_mismatch(self):
         with pytest.raises(ValueError):
             expectation(Circuit(2).run(), "XYZ")
+
+    @pytest.mark.parametrize(
+        "amplitudes, label, message",
+        [
+            (np.ones(1), "", "amplitudes must span a register of >= 1 qubits, got 1 amplitudes"),
+            (np.eye(4)[0], ["Z", "I"], "label ['Z', 'I'] is not 2 characters of IXYZ"),
+        ],
+        ids=["one-amplitude", "list-label"],
+    )
+    def test_pauli_label_rule(self, amplitudes, label, message):
+        # the readouts share the label rule of advqls.pauli
+        with pytest.raises(ValueError) as info:
+            expectation(amplitudes, label)
+        assert str(info.value) == message
 
 
 class TestSampleExpectation:
@@ -201,7 +217,7 @@ class TestSampleExpectation:
             sample_expectation(Circuit(1).run(), "Z", 0, seed=0)
 
     def test_invalid_label(self):
-        with pytest.raises(ValueError, match="invalid Pauli label"):
+        with pytest.raises(ValueError, match="^label 'XQ' is not 2 characters of IXYZ$"):
             sample_expectation(Circuit(2).run(), "XQ", 16, seed=0)
 
 
