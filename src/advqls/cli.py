@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -135,18 +136,16 @@ def _resolve_out(cfg: RunConfig, args: argparse.Namespace) -> Path:
     return Path(out)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.15g}"
-    return str(value).lower()   # bools as true/false
-
-
 def _csv(header: list[str], rows: list[list]) -> str:
+    """CSV text: floats with 15 significant digits, anything else as its
+    lower-cased str (bools as true/false)."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(
+        ["%.15g" % v if isinstance(v, (float, np.floating)) else str(v).lower() for v in row]
+        for row in rows
+    )
     return buf.getvalue()
 
 
@@ -240,12 +239,13 @@ def cmd_trace(args: argparse.Namespace) -> Files:
     sol_cols = [f"u_t{k}_g{j + 1}" for k in range(1, spec.n_t) for j in range(spec.n)]
     ref_cols = [f"ref_t{k}_g{j + 1}" for k in range(1, spec.n_t) for j in range(spec.n)]
     header = ["iteration", "cost"] + sol_cols + ref_cols
-    ref_values = [classical[k - 1][j] for k in range(1, spec.n_t) for j in range(spec.n)]
-    rows = []
-    for it, cost in enumerate(record.cost_trace):
-        fields = record.solution_trace[it]
-        values = [fields[k - 1][j] for k in range(1, spec.n_t) for j in range(spec.n)]
-        rows.append([it, cost] + values + ref_values)
+    # one row per iteration: its (n_t - 1, n) fields flattened row-major, as the header runs
+    solutions = record.solution_trace.reshape(len(record.cost_trace), -1).tolist()
+    ref_values = classical.ravel().tolist()
+    rows = [
+        [it, cost, *values, *ref_values]
+        for it, (cost, values) in enumerate(zip(record.cost_trace, solutions))
+    ]
     files = _manifest("trace", {**cfg.to_dict(), "member": member})
     files[f"trace_member_{member:03d}.csv"] = _csv(header, rows)
     return out_dir, files
@@ -334,7 +334,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call. It holds no
+    per-call state: each `parse_args` returns a fresh Namespace."""
     parser = _Parser(
         prog="advqls",
         description="Variational linear-solver pipeline for the advection-diffusion system",

@@ -94,19 +94,6 @@ class PauliDecomposition:
             for t in self.terms
         ]
 
-    @classmethod
-    def from_records(cls, records: list[dict]) -> "PauliDecomposition":
-        terms = tuple(
-            PauliTerm(
-                complex(_checks.real("re", r["re"]), _checks.real("im", r.get("im", 0.0))),
-                r["label"],
-            )
-            for r in records
-        )
-        if not terms:
-            raise ValueError("cannot infer qubit count from an empty record list")
-        return cls(num_qubits=len(terms[0].label), terms=terms)
-
 
 def _check_labels(num_qubits, labels) -> int:
     """The one label rule: every label is a str of num_qubits >= 1

@@ -64,9 +64,15 @@ class ForecastConfig:
 
 
 def cfl_timestep(cfg: ForecastConfig) -> tuple[float, int]:
-    """(dt seconds, number of time levels including zero)."""
+    """(dt seconds, number of time levels including zero). A dt that
+    underflows to 0 or overflows to inf raises ValueError."""
     grid_spacing_m = cfg.horizontal_resolution_deg * cfg.km_per_degree * 1000.0
     dt = cfg.cfl * grid_spacing_m / cfg.u_max
+    if not 0.0 < dt < float("inf"):
+        raise ValueError(
+            f"resolution {cfg.horizontal_resolution_deg} deg with cfl={cfg.cfl} and "
+            f"u_max={cfg.u_max} gives a CFL time step of {dt} s, not a positive finite number"
+        )
     n_t = int(cfg.forecast_length_s // dt) + 1
     return dt, n_t
 

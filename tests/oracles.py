@@ -1,9 +1,13 @@
-"""Dense oracles the tests check the package against.
+"""Oracles the tests check the package against.
 
 `label_matrix` builds a Pauli string as a Kronecker product of 2x2
 matrices, independently of the signed-permutation form the package uses
-(`advqls.pauli.signed_permutations`).
+(`advqls.pauli.signed_permutations`). `csv_text` writes CSV cells by the
+rule the CLI documents, one cell at a time.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -24,3 +28,20 @@ def label_matrix(label: str) -> np.ndarray:
     for ch in label[1:]:
         m = np.kron(m, PAULI_1Q[ch])
     return m
+
+
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """CSV text with every float (Python or NumPy) at 15 significant
+    digits and every other cell as its lower-cased str."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        cells = []
+        for value in row:
+            if isinstance(value, (float, np.floating)):
+                cells.append(f"{float(value):.15g}")
+            else:
+                cells.append(str(value).lower())
+        writer.writerow(cells)
+    return buf.getvalue()

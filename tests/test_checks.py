@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advqls import _checks, cli, pauli, problem, resources, sim, spsa, vqls
+from advqls import _checks, cli, problem, resources, sim, spsa, vqls
 
 
 def _forecast(**kwargs):
@@ -130,10 +130,6 @@ def _prepare_b_circuit(phi_deg=10.0, num_qubits=3):
     return sim.prepare_b_circuit(phi_deg, num_qubits)
 
 
-def _from_records(re=1.0, im=0.0):
-    return pauli.PauliDecomposition.from_records([{"label": "XZ", "re": re, "im": im}])
-
-
 def _analytic_solution(t=1.0):
     return problem.analytic_solution(problem.ProblemSpec(), t)
 
@@ -156,10 +152,6 @@ def _reads_one(value):
     assert value == 1.0
 
 
-def _json_records(decomposition):
-    json.dumps(decomposition.to_records(), allow_nan=False)
-
-
 def _finite(values):
     assert np.isfinite(values).all()
 
@@ -178,7 +170,6 @@ CALLS = {
     "expectation": (_expectation, _reads_one),
     "sample_expectation": (_sample_expectation, _reads_one),
     "prepare_b_circuit": (_prepare_b_circuit, _unit_state),
-    "from_records": (_from_records, _json_records),
     "analytic_solution": (_analytic_solution, _finite),
     "qubit_count": (_qubit_count, _plain_int),
     "vector_dimension": (_vector_dimension, _plain_int),
@@ -199,7 +190,6 @@ CALL_CASES = [
 @example(case=("Circuit.h", "q"), value=0.5)
 @example(case=("prepare_b_circuit", "num_qubits"), value=2.5)
 @example(case=("expectation", "amplitudes"), value=np.ones(1))
-@example(case=("from_records", "re"), value=float("nan"))
 @example(case=("vector_dimension", "n"), value=2.0)
 @example(case=("qubit_count", "dimension"), value=True)
 @example(case=("analytic_solution", "t"), value=float("nan"))

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advqls import cli, problem
+from advqls import cli, problem, vqls
 from advqls.cli import RunConfig, main
+from oracles import csv_text
 
 FAST_CONFIG = {
     "problem": {"n": 4, "nu": 0.05, "length": 1.0, "dt": 0.25, "n_t": 3},
@@ -260,6 +261,28 @@ class TestTraceCommand:
         member = json.loads((out / "member_000.json").read_text())
         assert float(rows[1][1]) == pytest.approx(member["cost_trace"][0])
         assert len(rows) - 1 == len(member["cost_trace"])
+
+    def test_columns_follow_the_header(self, tmp_path):
+        # u_t{k}_g{j} is the member's field at time level k, grid point j;
+        # ref_t{k}_g{j} the classical one
+        config = write_config(tmp_path, problem={"n": 4, "n_t": 5})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        assert main(["trace", "--config", config, "--out", str(out), "--member", "1"]) == 0
+        header, *rows = read_csv(out / "trace_member_001.csv")
+        member = json.loads((out / "member_001.json").read_text())
+        _, classical = vqls._reference(RunConfig.from_file(config).problem)
+        assert len(rows) == len(member["cost_trace"])
+        for it, row in enumerate(rows):
+            cells = dict(zip(header, row))
+            assert cells["iteration"] == str(it)
+            assert float(cells["cost"]) == pytest.approx(member["cost_trace"][it], rel=1e-14)
+            for k in range(1, 5):
+                for j in range(1, 5):
+                    expected = member["solution_trace"][it][k - 1][j - 1]
+                    assert float(cells[f"u_t{k}_g{j}"]) == pytest.approx(expected, rel=1e-14)
+                    expected = classical[k - 1, j - 1]
+                    assert float(cells[f"ref_t{k}_g{j}"]) == pytest.approx(expected, rel=1e-14)
 
     def test_reference_columns_constant(self, tmp_path):
         config = write_config(tmp_path)
@@ -569,6 +592,24 @@ class TestErrorContract:
         assert message in parsed["message"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "cfl, u_max, dt",
+        [("1e-300", "1e300", "0.0"), ("1e300", "1e-300", "inf")],
+        ids=["underflow", "overflow"],
+    )
+    def test_degenerate_cfl_step_is_named(self, tmp_path, capsys, cfl, u_max, dt):
+        out = tmp_path / "estimate"
+        argv = ["estimate", "--tau", "3", "--cfl", cfl, "--u-max", u_max, "--resolutions", "5"]
+        assert main([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError",
+            "message": f"resolution 5.0 deg with cfl={float(cfl)} and u_max={float(u_max)} "
+            f"gives a CFL time step of {dt} s, not a positive finite number",
+        }
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "trace", "decompose", "circuits", "estimate"])
     def test_failed_command_creates_nothing(self, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -622,3 +663,71 @@ class TestErrorContract:
             main(["estimate", "--help"])
         assert exc.value.code == 0
         assert "--tau" in capsys.readouterr().out
+
+
+# every kind of value a CSV cell can hold
+CSV_CELLS = [
+    0.1, 1 / 3, np.float64(0.1), np.float32(0.1), np.float16(0.1),
+    123456789012345678.0, float("nan"), np.float64("nan"), float("inf"), float("-inf"),
+    np.float64("-inf"), -0.0, np.float64(-0.0), 5e-324, 1e300, -1e300,
+    0, -7, 2**70, np.int64(-7), np.uint8(255),
+    True, False, np.bool_(True), np.bool_(False),
+    "ensemble_mean", "Mixed Case", "", "a,b", 'say "hi"', "line\nbreak",
+]
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("value", CSV_CELLS, ids=[f"{type(v).__name__}-{v!r}" for v in CSV_CELLS])
+    def test_cell_matches_the_oracle(self, value):
+        rows = [[value], [1, value, "x"]]
+        assert cli._csv(["v"], rows) == csv_text(["v"], rows)
+
+    def test_mixed_rows_match_the_oracle(self):
+        rows = [CSV_CELLS, CSV_CELLS[::-1], []]
+        header = [f"c{i}" for i in range(len(CSV_CELLS))]
+        assert cli._csv(header, rows) == csv_text(header, rows)
+
+
+class TestSharedParser:
+    """`main` reuses one parser; no call sees what an earlier one passed."""
+
+    def test_one_parser_per_process(self, tmp_path):
+        assert main(["circuits", "--l-max", "2", "--out", str(tmp_path / "c")]) == 0
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parser_not_built_at_import(self):
+        # importing the CLI builds no parser, so it adds nothing to start-up
+        code = "from advqls import cli; print(cli.build_parser.cache_info().currsize)"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "0"
+
+    def test_omitted_flag_takes_its_default(self, tmp_path):
+        out1, out2 = tmp_path / "c1", tmp_path / "c2"
+        assert main(["circuits", "--qubits", "4", "--l-max", "3", "--out", str(out1)]) == 0
+        assert main(["circuits", "--l-max", "3", "--out", str(out2)]) == 0
+        manifest = json.loads((out2 / "manifest_circuits.json").read_text())
+        assert manifest["config"]["qubits"] == 3
+
+    def test_omitted_seed_takes_its_default(self, tmp_path):
+        out1, out2 = tmp_path / "s1", tmp_path / "s2"
+        assert main(["solve", "--classical-only", "--seed", "5", "--out", str(out1)]) == 0
+        assert main(["solve", "--classical-only", "--out", str(out2)]) == 0
+        first = json.loads((out1 / "manifest_solve.json").read_text())
+        second = json.loads((out2 / "manifest_solve.json").read_text())
+        assert (first["config"]["base_seed"], second["config"]["base_seed"]) == (5, 0)
+
+    def test_rejected_argv_between_calls_changes_nothing(self, tmp_path, capsys):
+        argv = ["estimate", "--tau", "3", "--resolutions", "5,2", "--cfl", "0.5"]
+        out1, out2 = tmp_path / "e1", tmp_path / "e2"
+        assert main([*argv, "--out", str(out1)]) == 0
+        assert main(["estimate", "--tau", "abc", "--levels", "7", "--out", str(out2)]) == 1
+        assert not out2.exists()
+        assert main([*argv, "--out", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name

@@ -211,9 +211,9 @@ class TestAccessors:
     def test_label_characters_checked(self):
         # a label outside IXYZ would read as identity in the term sum but
         # fail the closed form, so it is rejected where it enters
-        records = [{"label": "QQQ", "re": 1.0}, {"label": "XII", "re": 0.5}]
+        terms = (PauliTerm(1.0, "QQQ"), PauliTerm(0.5, "XII"))
         with pytest.raises(ValueError, match="'QQQ' is not 3 characters of IXYZ"):
-            PauliDecomposition.from_records(records)
+            PauliDecomposition(num_qubits=3, terms=terms)
 
     @pytest.mark.parametrize("num_qubits", [0, -1, 1.0, True])
     def test_num_qubits_checked(self, num_qubits):
@@ -304,10 +304,7 @@ class TestSerialization:
         d = decompose(system.a_reduced)
         records = d.to_records()
         assert all(set(r) == {"label", "re", "im"} for r in records)
-        back = PauliDecomposition.from_records(records)
-        assert back.labels == d.labels
-        assert_allclose(back.coefficients, d.coefficients)
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            PauliDecomposition.from_records([])
+        # the records carry every term: the decomposition rebuilds from them
+        terms = tuple(PauliTerm(complex(r["re"], r["im"]), r["label"]) for r in records)
+        back = PauliDecomposition(num_qubits=d.num_qubits, terms=terms)
+        assert back == d

@@ -849,10 +849,11 @@ class TestProcessMemo:
         (vqls, "_b_preparation"),
     )
 
-    def test_only_three_caches_in_the_package(self):
+    def test_only_four_caches_in_the_package(self):
         # the state kept across calls: the unit table the ansatz kernel
-        # reads and the two per-spec memos. A `cached_property` keeps its
-        # value per instance, not per process, so it is not counted
+        # reads, the two per-spec memos and the CLI's one parser. A
+        # `cached_property` keeps its value per instance, not per process,
+        # so it is not counted
         found = set()
         for info in pkgutil.iter_modules(advqls.__path__):
             module = importlib.import_module(f"advqls.{info.name}")
@@ -863,7 +864,9 @@ class TestProcessMemo:
                     member = getattr(member, "__func__", member)
                     if hasattr(member, "cache_info"):
                         found.add(f"{info.name}.{member.__qualname__}")
-        assert found == {"vqls._unit_tables", "vqls._reference", "vqls._cost_evaluator"}
+        assert found == {
+            "vqls._unit_tables", "vqls._reference", "vqls._cost_evaluator", "cli.build_parser"
+        }
 
     def test_warm_call_builds_nothing(self, cold_memo, monkeypatch, tmp_path):
         cfg = spsa.SpsaConfig(max_iter=2, stop_rule="none")
