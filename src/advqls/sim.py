@@ -19,7 +19,7 @@ new one, prepared from |0...0>, and `expectation` and
 +/-1 outcome with mean r, so `shots` of them sum to 2k - shots with
 k ~ Binomial(shots, (1 + r) / 2); `shot_estimates` draws that estimate,
 2k / shots - 1, for `sample_expectation` at r = <P> and for `vqls` shot
-mode at each Hadamard-test readout.
+mode at each Hadamard-test readout; no other module draws shots.
 
 Inputs follow the package's one policy. A `Circuit` gets its gates only
 through its builders, which check every qubit index and angle with
@@ -27,7 +27,7 @@ through its builders, which check every qubit index and angle with
 readouts check a label with the Pauli-label rule of `advqls.pauli` on
 the register their amplitudes span, and `shots` and an integer `seed`
 with `advqls._checks`. `shot_estimates` runs once per shot-mode cost
-evaluation and checks nothing: its callers have checked `shots`.
+evaluation and checks nothing: its callers have checked its inputs.
 """
 
 from __future__ import annotations
@@ -161,13 +161,20 @@ def expectation(amplitudes: np.ndarray, label: str) -> float:
     return float(np.real(np.vdot(amplitudes, transformed)))
 
 
-def shot_estimates(means, shots: int, rng: np.random.Generator) -> np.ndarray:
+def shot_estimates(means, shots: int, rng: np.random.Generator | list) -> np.ndarray:
     """Shot estimates of +/-1 readouts with the given means, elementwise:
-    2k / shots - 1 with k ~ Binomial(shots, (1 + r) / 2). Its callers
-    check `shots`, an integer in [1, MAX_SHOTS]."""
+    2k / shots - 1 with k ~ Binomial(shots, (1 + r) / 2). One generator
+    draws all in one call; a list of one per row of axis -2 draws
+    member-major, generator j the rows [..., j, :] in one call on a
+    contiguous copy. Its callers check `shots` and `rng`."""
     # rounding can put r a few ulps outside [-1, 1] near the solution
     p = np.minimum(np.maximum((1.0 + means) / 2.0, 0.0), 1.0)
-    return 2.0 * rng.binomial(shots, p) / shots - 1.0
+    if not isinstance(rng, list):
+        return 2.0 * rng.binomial(shots, p) / shots - 1.0
+    # the axes of np.moveaxis(p, -2, 0) and back, at a fraction of its call cost
+    by_member = np.ascontiguousarray(p.transpose(p.ndim - 2, *range(p.ndim - 2), -1))
+    counts = np.array([g.binomial(shots, rows) for g, rows in zip(rng, by_member, strict=True)])
+    return (2.0 * counts / shots - 1.0).transpose(*range(1, p.ndim - 1), 0, -1)
 
 
 def sample_expectation(

@@ -42,8 +42,8 @@ never builds them). Exact, the term sum is the independent oracle for
 the closed form below.
 Sampled, it runs the paper's Hadamard tests: each readout is
 2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
-evaluation draws all of them in one call from a seeded generator the
-caller passes.
+evaluation draws all of them in one `sim.shot_estimates` call, from the
+seeded generator the caller passes or from one per member.
 
 Exact mode (`run_ensemble` with shots=None) evaluates the cost in closed form.
 The ansatz is real, so the cost is a ratio of two real quadratic forms,
@@ -434,23 +434,24 @@ class CostEvaluator:
         with f_c = e^{i phi} i^{nY_l' - nY_l}.
 
         Shot mode gives every circuit `shots` ancilla outcomes and
-        replaces r by its `sim.shot_estimates` draw, 2k / shots - 1 with
-        k ~ Binomial(shots, (1 + r) / 2). Both modes then evaluate the
-        module doc's ratio of linear forms in r.
-
-        Over leading axes, (..., 2**Q) amplitudes give (...) values and
-        (..., C) readouts, and one draw from `rng` covers every row. In
-        place of `rng` a list may hold one generator per row of axis -2
-        (the members of a lockstep ensemble); generator j then draws the
-        rows [..., j, :] in one call. Shot mode needs `rng`: there is no
-        unseeded fallback. Complex amplitudes are accepted only with a
-        zero imaginary part.
+        replaces r by 2k / shots - 1, k ~ Binomial(shots, (1 + r) / 2),
+        all drawn in one `sim.shot_estimates` call from `rng`: a generator
+        (anything with a `binomial` method) or a list of one per row of
+        axis -2, the members of a lockstep ensemble. Any other `rng`, None
+        included, raises a ValueError before a draw. Both modes then
+        evaluate the module doc's ratio of linear forms in r, over leading
+        axes: (..., 2**Q) amplitudes give (...) values and (..., C)
+        readouts. Complex amplitudes are accepted only with a zero
+        imaginary part.
         """
+        x = np.asarray(amplitudes)
         if shots is not None:
             shots = _checks.integer("shots", shots, 1, MAX_SHOTS)
-            if rng is None:
-                raise ValueError("shot mode needs rng, a seeded generator or a list of them")
-        x = np.asarray(amplitudes)
+            generators = rng if isinstance(rng, list) else [rng]
+            if (generators is rng and x.shape[-2:-1] != (len(rng),)) or not all(
+                    hasattr(g, "binomial") for g in generators):
+                raise ValueError("shot mode needs rng, a seeded generator or a list of one per "
+                                 f"row of axis -2 of the amplitudes {x.shape}, got {rng!r}")
         if np.iscomplexobj(x):
             if x.imag.any():
                 raise ValueError("amplitudes must be real: the ansatz state is real")
@@ -458,13 +459,7 @@ class CostEvaluator:
         tables, f, weights, beta_count, norm2 = self._readout_form
         readouts = f * _gram_entries(x, *tables)
         if shots is not None:
-            if isinstance(rng, list):
-                sampled = np.empty_like(readouts)
-                for j, generator in zip(range(readouts.shape[-2]), rng, strict=True):
-                    sampled[..., j, :] = sim.shot_estimates(readouts[..., j, :], shots, generator)
-                readouts = sampled
-            else:
-                readouts = sim.shot_estimates(readouts, shots, rng)
+            readouts = sim.shot_estimates(readouts, shots, rng)
         weighted = weights * readouts
         denominator = norm2 + weighted[..., :beta_count].sum(-1)
         if denominator.min() < 1e-12:
@@ -704,10 +699,8 @@ def run_ensemble(
         ]
 
         def cost(points, members):
-            generators = [shot_rngs[i] for i in members]
-            return evaluator.local_cost_of_state(
-                ansatz_amplitudes(ansatz, points), shots, generators
-            ).value
+            x = ansatz_amplitudes(ansatz, points)
+            return evaluator.local_cost_of_state(x, shots, [shot_rngs[i] for i in members]).value
 
     results = spsa.run_lockstep(theta_init, cost, spsa_cfg, rngs)
     # every member's theta_0 .. theta_final, member by member, in one kernel call

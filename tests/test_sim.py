@@ -9,6 +9,7 @@ from advqls.sim import (
     expectation,
     prepare_b_circuit,
     sample_expectation,
+    shot_estimates,
 )
 from oracles import label_matrix
 
@@ -219,6 +220,26 @@ class TestSampleExpectation:
     def test_invalid_label(self):
         with pytest.raises(ValueError, match="^label 'XQ' is not 2 characters of IXYZ$"):
             sample_expectation(Circuit(2).run(), "XQ", 16, seed=0)
+
+
+class TestShotEstimates:
+    # C = 105 circuits, as on the default spec; (2, m, C) is an iteration's
+    # two points for m members, (m, C) the theta_0 call, and any leading
+    # axes may come before the member axis
+    @pytest.mark.parametrize(
+        "shape", [(2, 1, 105), (2, 3, 105), (2, 24, 105), (24, 105), (3, 2, 4, 105)]
+    )
+    def test_generator_list_matches_per_row_calls(self, shape):
+        # generator j of a list draws rows [..., j, :] bit for bit as it
+        # does alone on that strided slice, so no layout reorders the draws
+        means = np.random.default_rng(11).uniform(-1.0, 1.0, shape)
+        means[..., :2] = [1.0 + 4e-16, -1.0 - 4e-16]  # past +/-1, as rounding leaves them
+        members = shape[-2]
+        batched = shot_estimates(means, 8192, [np.random.default_rng([5, j]) for j in range(members)])
+        assert batched.shape == shape
+        for j in range(members):
+            single = shot_estimates(means[..., j, :], 8192, np.random.default_rng([5, j]))
+            assert batched[..., j, :].tobytes() == single.tobytes()
 
 
 class TestPrepareB:

@@ -405,6 +405,29 @@ class TestLocalCost:
         with pytest.raises(ValueError, match="rng"):
             evaluator.local_cost(np.zeros(12), shots=8192, rng=None)
 
+    @pytest.mark.parametrize(
+        "rows, make_rng",
+        [
+            ((), lambda: [RecordingGenerator(0)]),
+            ((2,), lambda: [RecordingGenerator(j) for j in range(3)]),
+            ((2,), lambda: [RecordingGenerator(0)]),
+            ((2,), lambda: [RecordingGenerator(0), 5]),
+            ((), lambda: 5),
+            ((), lambda: (RecordingGenerator(0),)),
+            ((2,), lambda: (RecordingGenerator(0), RecordingGenerator(1))),
+        ],
+        ids=["list-without-rows", "3-for-2-rows", "1-for-2-rows", "int-in-list", "int",
+             "tuple", "tuple-for-2-rows"],
+    )
+    def test_malformed_rng_rejected_before_drawing(self, evaluator, rows, make_rng):
+        # one ValueError naming rng, and no generator draws
+        x = ansatz_amplitudes(ANSATZ, np.random.default_rng(47).uniform(0, 2 * np.pi, rows + (12,)))
+        rng = make_rng()
+        with pytest.raises(ValueError, match="rng"):
+            evaluator.local_cost_of_state(x, 8192, rng)
+        generators = rng if isinstance(rng, (list, tuple)) else [rng]
+        assert all(g.draws == [] for g in generators if isinstance(g, RecordingGenerator))
+
     def test_complex_amplitudes_must_be_real(self, evaluator):
         # a zero imaginary part, as `ansatz_state` gives, reads like the
         # real amplitudes; any other is rejected
