@@ -107,7 +107,6 @@ class BlockSystem:
     a_reduced: np.ndarray   # ((n_t - 1) * n) square, initial block dropped
     b_raw: np.ndarray       # ((I + M dt) u0, 0, ..., 0), unnormalized
     b_state: np.ndarray     # b_raw / ||b_raw||
-    b_norm: float
     u0: np.ndarray
 
 
@@ -176,7 +175,6 @@ def build_block_system(spec: ProblemSpec) -> BlockSystem:
         a_reduced=a_reduced,
         b_raw=b_raw,
         b_state=b_raw / b_norm,
-        b_norm=b_norm,
         u0=u0,
     )
 

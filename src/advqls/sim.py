@@ -25,15 +25,16 @@ Inputs follow the package's one policy. A `Circuit` gets its gates only
 through its builders, which check every qubit index and angle with
 `advqls._checks`, so `run` and `unitary` trust the gate list. The
 readouts check a label with the Pauli-label rule of `advqls.pauli` on
-the register their amplitudes span, and `shots` and an integer `seed`
-with `advqls._checks`. `shot_estimates` runs once per shot-mode cost
-evaluation and checks nothing: its callers have checked its inputs.
+the register their amplitudes span. `shot_estimates` owns the shot-stream
+rule: it checks `shots` and takes only seeded generators, never the
+`numpy.random` module; `sample_expectation` requires a seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import ModuleType
 
 import numpy as np
 
@@ -165,28 +166,32 @@ def shot_estimates(means, shots: int, rng: np.random.Generator | list) -> np.nda
     """Shot estimates of +/-1 readouts with the given means, elementwise:
     2k / shots - 1 with k ~ Binomial(shots, (1 + r) / 2). One generator
     draws all in one call; a list of one per row of axis -2 draws
-    member-major, generator j the rows [..., j, :] in one call on a
-    contiguous copy. Its callers check `shots` and `rng`."""
+    generator j's rows [..., j, :] in one call on a contiguous copy.
+    Checked before any draw: a generator has a callable `binomial` and
+    is not a module such as the unseeded `numpy.random`."""
+    shots = _checks.integer("shots", shots, 1, MAX_SHOTS)
+    generators = rng if isinstance(rng, list) else [rng]
+    if (generators is rng and np.shape(means)[-2:-1] != (len(rng),)) or not all(
+            callable(getattr(g, "binomial", None)) and not isinstance(g, ModuleType)
+            for g in generators):
+        raise ValueError("rng must be a seeded generator or a list of one per row of axis -2 "
+                         f"of the means {np.shape(means)}, got {rng!r}")
     # rounding can put r a few ulps outside [-1, 1] near the solution
     p = np.minimum(np.maximum((1.0 + means) / 2.0, 0.0), 1.0)
     if not isinstance(rng, list):
         return 2.0 * rng.binomial(shots, p) / shots - 1.0
-    # the axes of np.moveaxis(p, -2, 0) and back, at a fraction of its call cost
-    by_member = np.ascontiguousarray(p.transpose(p.ndim - 2, *range(p.ndim - 2), -1))
-    counts = np.array([g.binomial(shots, rows) for g, rows in zip(rng, by_member, strict=True)])
-    return (2.0 * counts / shots - 1.0).transpose(*range(1, p.ndim - 1), 0, -1)
+    counts = np.empty(p.shape)
+    for j, g in enumerate(rng):
+        counts[..., j, :] = g.binomial(shots, np.ascontiguousarray(p[..., j, :]))
+    return 2.0 * counts / shots - 1.0
 
 
-def sample_expectation(
-    amplitudes: np.ndarray,
-    label: str,
-    shots: int,
-    seed: int | np.random.Generator | None = None,
-) -> float:
+def sample_expectation(amplitudes: np.ndarray, label: str, shots: int,
+                       seed: int | np.random.Generator) -> float:
     """Shot-sampled <psi|P|psi> / <psi|psi> of one Pauli string: the mean
-    of `shots` +/-1 parity outcomes, one `shot_estimates` draw."""
-    shots = _checks.integer("shots", shots, 1, MAX_SHOTS)
-    if not (seed is None or isinstance(seed, np.random.Generator)):
+    of `shots` +/-1 parity outcomes, one `shot_estimates` draw from the
+    required `seed`, an integer >= 0 or a generator."""
+    if not isinstance(seed, np.random.Generator):
         seed = _checks.integer("seed", seed, low=0)
     mean = expectation(amplitudes, label) / float(np.vdot(amplitudes, amplitudes).real)
     return float(shot_estimates(mean, shots, np.random.default_rng(seed)))

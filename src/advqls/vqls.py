@@ -40,10 +40,10 @@ f_c is set to 0 (the circuit then reads exactly 0) where G_c is below
 tables are built on the evaluator's first term-sum cost (exact mode
 never builds them). Exact, the term sum is the independent oracle for
 the closed form below.
-Sampled, it runs the paper's Hadamard tests: each readout is
-2k/shots - 1 from one binomial draw of `shots` ancilla outcomes, and one
-evaluation draws all of them in one `sim.shot_estimates` call, from the
-seeded generator the caller passes or from one per member.
+Sampled, it runs the paper's Hadamard tests: each readout is the mean of
+`shots` +/-1 ancilla outcomes, all drawn in one checked `sim.shot_estimates`
+call per evaluation, from the seeded generator the caller passes or
+from one per member.
 
 Exact mode (`run_ensemble` with shots=None) evaluates the cost in closed form.
 The ansatz is real, so the cost is a ratio of two real quadratic forms,
@@ -317,6 +317,14 @@ def _gram_entries(x, perm, sign, k, circuits) -> np.ndarray:
     return gram.reshape(gram.shape[:-2] + (-1,)).take(circuits, -1)
 
 
+def _real_amplitudes(amplitudes) -> np.ndarray:
+    """`amplitudes` as a real array: complex ones only with a zero imaginary part."""
+    x = np.asarray(amplitudes)
+    if np.iscomplexobj(x) and x.imag.any():
+        raise ValueError("amplitudes must be real: the ansatz state is real")
+    return x.real
+
+
 def _check_workers(workers) -> int:
     if _checks.integer("workers", workers) != 1:
         raise ValueError(
@@ -434,28 +442,17 @@ class CostEvaluator:
         with f_c = e^{i phi} i^{nY_l' - nY_l}.
 
         Shot mode gives every circuit `shots` ancilla outcomes and
-        replaces r by 2k / shots - 1, k ~ Binomial(shots, (1 + r) / 2),
-        all drawn in one `sim.shot_estimates` call from `rng`: a generator
-        (anything with a `binomial` method) or a list of one per row of
-        axis -2, the members of a lockstep ensemble. Any other `rng`, None
-        included, raises a ValueError before a draw. Both modes then
+        replaces r by their mean, all drawn in one `sim.shot_estimates`
+        call from `rng`: a seeded generator or a list of one per row of
+        axis -2, the members of a lockstep ensemble. That call checks both
+        before it draws: None or the `numpy.random` module raises one
+        ValueError naming `rng`. Both modes then
         evaluate the module doc's ratio of linear forms in r, over leading
         axes: (..., 2**Q) amplitudes give (...) values and (..., C)
         readouts. Complex amplitudes are accepted only with a zero
         imaginary part.
         """
-        x = np.asarray(amplitudes)
-        if shots is not None:
-            shots = _checks.integer("shots", shots, 1, MAX_SHOTS)
-            generators = rng if isinstance(rng, list) else [rng]
-            if (generators is rng and x.shape[-2:-1] != (len(rng),)) or not all(
-                    hasattr(g, "binomial") for g in generators):
-                raise ValueError("shot mode needs rng, a seeded generator or a list of one per "
-                                 f"row of axis -2 of the amplitudes {x.shape}, got {rng!r}")
-        if np.iscomplexobj(x):
-            if x.imag.any():
-                raise ValueError("amplitudes must be real: the ansatz state is real")
-            x = x.real
+        x = _real_amplitudes(amplitudes)
         tables, f, weights, beta_count, norm2 = self._readout_form
         readouts = f * _gram_entries(x, *tables)
         if shots is not None:
@@ -506,9 +503,9 @@ def rescale_solution(x: np.ndarray, system: problem.BlockSystem) -> np.ndarray:
     blocks: (..., 2**Q) amplitudes give (..., n_t - 1, n) fields. Built
     from elementwise products and last-axis sums, so each row matches
     the row-wise call bit for bit. Raises `DegenerateStateError` if A x
-    vanishes for any row.
+    vanishes for any row; complex amplitudes need a zero imaginary part.
     """
-    x = np.real(np.asarray(x))
+    x = _real_amplitudes(x)
     dim = system.a_reduced.shape[0]
     if x.ndim == 0 or x.shape[-1] != dim:
         raise ValueError(f"expected {dim} amplitudes on the last axis, got shape {x.shape}")
@@ -651,7 +648,7 @@ def run_ensemble(
     every member's local cost with
     `spsa.run_lockstep` from a uniformly random start in [0, 2 pi)^P: the
     closed form when shots is None, else the sampled term sum, one
-    binomial draw per full_sym circuit. Each iteration costs the (2, m, P)
+    shot draw per full_sym circuit. Each iteration costs the (2, m, P)
     point stack of the m members still running with one
     `ansatz_amplitudes` call and one cost call. A member that hits the
     iteration cap is returned with converged=False. After the run every
@@ -661,7 +658,7 @@ def run_ensemble(
     `DegenerateStateError` there.
 
     Member i draws its start and SPSA perturbations from
-    `default_rng(base_seed + i)`, and its shot noise, one binomial call per
+    `default_rng(base_seed + i)`, and its shot noise, one draw per
     iteration, from a stream spawned from `SeedSequence(base_seed + i)`,
     so the sampler never shifts the perturbations.
 

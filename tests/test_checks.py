@@ -186,6 +186,7 @@ CALL_CASES = [
 # the unchecked arguments this policy closed
 @example(case=("sample_expectation", "shots"), value=2.5)
 @example(case=("sample_expectation", "seed"), value=-1)
+@example(case=("sample_expectation", "seed"), value=None)
 @example(case=("Circuit.ry", "angle"), value=float("nan"))
 @example(case=("Circuit.h", "q"), value=0.5)
 @example(case=("prepare_b_circuit", "num_qubits"), value=2.5)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -221,6 +223,24 @@ class TestSampleExpectation:
         with pytest.raises(ValueError, match="^label 'XQ' is not 2 characters of IXYZ$"):
             sample_expectation(Circuit(2).run(), "XQ", 16, seed=0)
 
+    def test_seed_is_required(self):
+        # no unseeded stream: None is refused and there is no default
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got None$"):
+            sample_expectation(Circuit(1).h(0).run(), "Z", 16, seed=None)
+        with pytest.raises(TypeError, match="seed"):
+            sample_expectation(Circuit(1).h(0).run(), "Z", 16)
+
+
+class Recording:
+    """A generator stand-in that counts its binomial draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def binomial(self, n, p):
+        self.draws += 1
+        return np.zeros(np.shape(p), dtype=np.int64)
+
 
 class TestShotEstimates:
     # C = 105 circuits, as on the default spec; (2, m, C) is an iteration's
@@ -240,6 +260,27 @@ class TestShotEstimates:
         for j in range(members):
             single = shot_estimates(means[..., j, :], 8192, np.random.default_rng([5, j]))
             assert batched[..., j, :].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize(
+        "shots, make_rng",
+        [
+            (0, lambda rec: rec),
+            (8192, lambda rec: [rec, rec]),
+            (8192, lambda rec: [rec, np.random, rec]),
+            (8192, lambda rec: np.random),
+        ],
+        ids=["zero-shots", "2-for-3-rows", "module-in-list", "module"],
+    )
+    def test_checks_before_any_draw(self, shots, make_rng):
+        # one ValueError naming the argument, raised before a generator,
+        # or NumPy's global unseeded state, draws
+        recording = Recording()
+        global_state = pickle.dumps(np.random.get_state())
+        means = np.zeros((2, 3, 105))
+        with pytest.raises(ValueError, match="^shots " if shots == 0 else "^rng "):
+            shot_estimates(means, shots, make_rng(recording))
+        assert recording.draws == 0
+        assert pickle.dumps(np.random.get_state()) == global_state
 
 
 class TestPrepareB:

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -415,18 +416,23 @@ class TestLocalCost:
             ((), lambda: 5),
             ((), lambda: (RecordingGenerator(0),)),
             ((2,), lambda: (RecordingGenerator(0), RecordingGenerator(1))),
+            ((), lambda: np.random),
+            ((1,), lambda: [np.random]),
         ],
         ids=["list-without-rows", "3-for-2-rows", "1-for-2-rows", "int-in-list", "int",
-             "tuple", "tuple-for-2-rows"],
+             "tuple", "tuple-for-2-rows", "numpy-random-module", "numpy-random-module-in-list"],
     )
     def test_malformed_rng_rejected_before_drawing(self, evaluator, rows, make_rng):
-        # one ValueError naming rng, and no generator draws
+        # one ValueError naming rng, and no generator draws, NumPy's global
+        # unseeded state included
         x = ansatz_amplitudes(ANSATZ, np.random.default_rng(47).uniform(0, 2 * np.pi, rows + (12,)))
         rng = make_rng()
+        global_state = pickle.dumps(np.random.get_state())
         with pytest.raises(ValueError, match="rng"):
             evaluator.local_cost_of_state(x, 8192, rng)
         generators = rng if isinstance(rng, (list, tuple)) else [rng]
         assert all(g.draws == [] for g in generators if isinstance(g, RecordingGenerator))
+        assert pickle.dumps(np.random.get_state()) == global_state
 
     def test_complex_amplitudes_must_be_real(self, evaluator):
         # a zero imaginary part, as `ansatz_state` gives, reads like the
@@ -442,6 +448,12 @@ class TestLocalCost:
             evaluator.local_cost_of_state(tilted)
         with pytest.raises(ValueError, match="real"):
             evaluator.local_cost_of_state(tilted, 8192, np.random.default_rng(0))
+        # rescale_solution follows the same rule
+        fields = rescale_solution(x, SYSTEM)
+        assert rescale_solution(x.astype(complex), SYSTEM).tobytes() == fields.tobytes()
+        for bad in (tilted, x + 1j):
+            with pytest.raises(ValueError, match="amplitudes must be real"):
+                rescale_solution(bad, SYSTEM)
 
     def test_zero_at_exact_solution_state(self, evaluator):
         x_star = np.linalg.solve(SYSTEM.a_reduced, SYSTEM.b_raw)
@@ -812,7 +824,7 @@ class TestSolve:
         assert sampled[0] == exact[0]
         assert sampled[1].tobytes() == exact[1].tobytes()
 
-    def test_run_ensemble_parallel_matches_serial(self):
+    def test_lockstep_members_match_members_run_alone(self):
         # member i of a 24-member lockstep ensemble is byte-equal to the
         # one-member run with seed base_seed + i, under the threshold rule,
         # where members stop at different iterations
@@ -1013,7 +1025,6 @@ class TestBPreparation:
             a_reduced=SYSTEM.a_reduced,
             b_raw=b,
             b_state=b,
-            b_norm=1.0,
             u0=SYSTEM.u0,
         )
         prep = vqls._b_preparation(fake)
