@@ -212,9 +212,11 @@ def _float_if_scalar(value: np.ndarray) -> float | np.ndarray:
 
 def rmse(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Root-mean-square of a - b over the last axis: a float for vectors,
-    and over leading axes an array whose entries equal the vector calls."""
+    and over leading axes an array whose entries equal the vector calls.
+    b has a's shape, or only its trailing axes: one reference for every
+    leading row of a."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+    if a.shape[a.ndim - b.ndim:] != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return _float_if_scalar(np.sqrt(np.mean((a - b) ** 2, axis=-1)))
 
@@ -223,10 +225,15 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """rmse(a, b) normalized by the RMS of the reference b, over leading
     axes like `rmse`."""
     b = np.asarray(b, dtype=float)
+    return _float_if_scalar(_relative(rmse(a, b), b))
+
+
+def _relative(error: float | np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An rmse against the reference b, normalized by the RMS of b."""
     reference_rms = np.sqrt(np.mean(b**2, axis=-1))
     if not reference_rms.all():
         raise ValueError("reference vector is identically zero")
-    return _float_if_scalar(rmse(a, b) / reference_rms)
+    return error / reference_rms
 
 
 def fit_phi_degrees(b_state: np.ndarray) -> float:

@@ -168,7 +168,8 @@ def shot_estimates(means, shots: int, rng: np.random.Generator | list) -> np.nda
     draws all in one call; a list of one per row of axis -2 draws
     generator j's rows [..., j, :] in one call on a contiguous copy.
     Checked before any draw: a generator has a callable `binomial` and
-    is not a module such as the unseeded `numpy.random`."""
+    is not a module such as the unseeded `numpy.random`. NaN means fail
+    in the draw with one ValueError naming `means`."""
     shots = _checks.integer("shots", shots, 1, MAX_SHOTS)
     generators = rng if isinstance(rng, list) else [rng]
     if (generators is rng and np.shape(means)[-2:-1] != (len(rng),)) or not all(
@@ -178,11 +179,14 @@ def shot_estimates(means, shots: int, rng: np.random.Generator | list) -> np.nda
                          f"of the means {np.shape(means)}, got {rng!r}")
     # rounding can put r a few ulps outside [-1, 1] near the solution
     p = np.minimum(np.maximum((1.0 + means) / 2.0, 0.0), 1.0)
-    if not isinstance(rng, list):
-        return 2.0 * rng.binomial(shots, p) / shots - 1.0
-    counts = np.empty(p.shape)
-    for j, g in enumerate(rng):
-        counts[..., j, :] = g.binomial(shots, np.ascontiguousarray(p[..., j, :]))
+    try:
+        if not isinstance(rng, list):
+            return 2.0 * rng.binomial(shots, p) / shots - 1.0
+        counts = np.empty(p.shape)
+        for j, g in enumerate(rng):
+            counts[..., j, :] = g.binomial(shots, np.ascontiguousarray(p[..., j, :]))
+    except ValueError as exc:   # NaN means, as non-finite amplitudes give
+        raise ValueError("means must be readout means, not NaN") from exc
     return 2.0 * counts / shots - 1.0
 
 
@@ -190,11 +194,15 @@ def sample_expectation(amplitudes: np.ndarray, label: str, shots: int,
                        seed: int | np.random.Generator) -> float:
     """Shot-sampled <psi|P|psi> / <psi|psi> of one Pauli string: the mean
     of `shots` +/-1 parity outcomes, one `shot_estimates` draw from the
-    required `seed`, an integer >= 0 or a generator."""
+    required `seed`, an integer >= 0 or a generator. <psi|psi> must be a
+    positive finite number."""
     if not isinstance(seed, np.random.Generator):
         seed = _checks.integer("seed", seed, low=0)
-    mean = expectation(amplitudes, label) / float(np.vdot(amplitudes, amplitudes).real)
-    return float(shot_estimates(mean, shots, np.random.default_rng(seed)))
+    exact = expectation(amplitudes, label)
+    norm2 = float(np.vdot(amplitudes, amplitudes).real)
+    if not 0.0 < norm2 < math.inf:
+        raise ValueError(f"amplitudes must have a positive finite norm, got <psi|psi> = {norm2!r}")
+    return float(shot_estimates(exact / norm2, shots, np.random.default_rng(seed)))
 
 
 def prepare_b_circuit(phi_deg: float, num_qubits: int = 3) -> Circuit:

@@ -13,10 +13,11 @@ still running. A vector whose stopping rule fires drops out of the
 stack. Delta is drawn for up to 64 iterations at a time, in rows equal
 to the per-step draws, and the update is elementwise, so every vector's
 result equals a loop of `step` calls on its generator bit for bit. One
-history of the iterations run gives every vector its `cost_trace` and
-`theta_trace`, which hold every iterate and cost estimate. `run` is the
-one-vector case on a scalar cost. Every entry point takes its
-generators from the caller; none seeds one itself.
+history of the iterations run, sorted once by vector and cut by slicing,
+gives every vector its `cost_trace` and `theta_trace`, which hold every
+iterate and cost estimate. `run` is the one-vector case on a scalar
+cost. Every entry point takes its generators from the caller; none seeds
+one itself.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def gains(k: int, cfg: SpsaConfig) -> tuple[float, float]:
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 # iterations whose Delta each vector draws in one call
 _DELTA_BLOCK = 64
+_TWO_PI = 2.0 * np.pi
 
 
 def step(
@@ -168,8 +170,8 @@ def run_lockstep(
 
     Each iteration appends (rows, theta, cost estimates) to one history,
     which grows with the iterations run, never with `max_iter`. Returns
-    one `SpsaResult` per row of `theta_init`, its traces split out of the
-    history by one stable sort of the row ids: `theta_trace` and
+    one `SpsaResult` per row of `theta_init`, its traces sliced out of the
+    history after one stable sort of the row ids: `theta_trace` and
     `cost_trace` hold every iterate and cost estimate from k = 0.
     """
     theta = np.array(theta_init, dtype=float)
@@ -194,10 +196,10 @@ def run_lockstep(
             perturbations = np.array([c_j for _, c_j in block])[:, None, None] * deltas
             offsets, divisors = _SIGNS * perturbations[:, None], 2.0 * perturbations
         pair = cost(theta + offsets[row], rows)
-        gradient = (pair[0] - pair[1])[:, None] / divisors[row]
-        a_k = block[row][0]
-        theta = (theta - a_k * gradient) % (2.0 * np.pi)
-        previous, estimate = estimate, 0.5 * (pair[0] + pair[1])
+        plus, minus = pair[0], pair[1]   # indexing: faster than unpacking by iteration
+        # `step`'s arithmetic: theta - a_k * gradient, wrapped into [0, 2 pi)
+        theta = (theta - block[row][0] * ((plus - minus)[:, None] / divisors[row])) % _TWO_PI
+        previous, estimate = estimate, 0.5 * (plus + minus)
         history.append((rows, theta, estimate))
         if cfg.stop_rule == "none":
             continue
@@ -212,12 +214,12 @@ def run_lockstep(
             if not rows.size:
                 break
 
-    # every row's entries, row by row in iteration order
+    # every row's entries, row by row in iteration order, sliced out per row
     owner, thetas, costs = (np.concatenate(column) for column in zip(*history))
     order = np.argsort(owner, kind="stable")
-    bounds = np.cumsum(np.bincount(owner, minlength=len(converged)))[:-1]
+    thetas, costs = thetas[order], costs[order].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=len(converged))).tolist()
     return [
-        SpsaResult(cost_trace.tolist(), bool(stopped), theta_trace)
-        for theta_trace, cost_trace, stopped
-        in zip(np.split(thetas[order], bounds), np.split(costs[order], bounds), converged)
+        SpsaResult(costs[start:end], stopped, thetas[start:end])
+        for start, end, stopped in zip([0, *ends], ends, converged.tolist())
     ]

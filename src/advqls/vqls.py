@@ -53,7 +53,8 @@ The ansatz is real, so the cost is a ratio of two real quadratic forms,
 
 with H and G built on the evaluator's first exact cost (shot mode never
 builds them) from A = `pauli.reconstruct` of the evaluator's
-decomposition, which scatters the same signed permutations, and the
+decomposition, which scatters the same signed permutations. They are kept
+as one (2, D, D) stack (G, H), so one matmul pair reads both forms. The
 state comes from `ansatz_amplitudes` without the gate interpreter. Each
 ansatz unit's real operator, the Ry layer times the fixed H/CZ
 entangler W, is linear in the unit's 2**Q products of cos/sin half
@@ -72,7 +73,8 @@ byte-equal to the single-state call whatever batch it rides in.
 process: each SPSA iteration makes one `ansatz_amplitudes` call on the
 (2, m, P) stack of the m members still running and costs it in one
 call, and the solution traces of all members come from one call each
-after the run. `solve` is its one-member case.
+after the run, split into row chunks under a fixed byte budget at large
+Q. `solve` is its one-member case.
 
 The module keeps state across calls in exactly three `lru_cache`s:
 
@@ -98,6 +100,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -325,6 +328,15 @@ def _real_amplitudes(amplitudes) -> np.ndarray:
     return x.real
 
 
+def _check_norm(denominator: np.ndarray) -> None:
+    """The degeneracy test of both costs; NaN, from non-finite amplitudes,
+    fails it too."""
+    if not np.minimum.reduce(denominator, axis=None) >= 1e-12:
+        raise DegenerateStateError(
+            "norm of A|x(theta)> is numerically zero or not finite; cost undefined"
+        )
+
+
 def _check_workers(workers) -> int:
     if _checks.integer("workers", workers) != 1:
         raise ValueError(
@@ -397,16 +409,19 @@ class CostEvaluator:
         return tables, f, weights, beta_count, norm2
 
     @cached_property
-    def _closed_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H, G) of `dense_cost`, built on its first call (read-only): the
-        imaginary parts of these Hermitian matrices are antisymmetric and
-        cancel in x^T M x for real x."""
+    def _closed_form(self) -> np.ndarray:
+        """The (2, D, D) stack (G, H) of `dense_cost`, built on its first
+        call (read-only): the imaginary parts of these Hermitian matrices
+        are antisymmetric and cancel in x^T M x for real x."""
         nq, u = self.num_qubits, self.u
         a = pauli.reconstruct(self.decomposition)
         local = u @ np.diag(0.5 - sum(_z_signs(nq)) / (2.0 * nq)) @ u.conj().T
-        h, g = np.real(a.conj().T @ local @ a), np.real(a.conj().T @ a)
-        _read_only(h, g)
-        return h, g
+        # the real view of the complex stack, not a contiguous copy: matmul
+        # picks its loop from the strides, and a copy moves the costs by
+        # rounding
+        forms = np.real(np.stack((a.conj().T @ a, a.conj().T @ local @ a)))
+        _read_only(forms)
+        return forms
 
     @property
     def term_count(self) -> int:
@@ -416,15 +431,12 @@ class CostEvaluator:
 
     def dense_cost(self, x: np.ndarray) -> float | np.ndarray:
         """Exact cost x^T H x / x^T G x of real amplitudes x (see module
-        doc), over leading axes: (..., 2**Q) amplitudes give (...) costs."""
-        h, g = self._closed_form
-        row, col = x[..., None, :], x[..., :, None]
-        denominator = (row @ g @ col)[..., 0, 0]
-        if denominator.min() < 1e-12:
-            raise DegenerateStateError(
-                "norm of A|x(theta)> is numerically zero; cost undefined"
-            )
-        return (row @ h @ col)[..., 0, 0] / denominator
+        doc), over leading axes: (..., 2**Q) amplitudes give (...) costs.
+        Both quadratic forms come from one matmul pair on the (G, H) stack."""
+        forms = (x[..., None, None, :] @ self._closed_form @ x[..., None, :, None])[..., 0, 0]
+        denominator = forms[..., 0]
+        _check_norm(denominator)
+        return forms[..., 1] / denominator
 
     def local_cost(self, theta: np.ndarray, shots=None, rng=None) -> CostBreakdown:
         return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
@@ -450,7 +462,8 @@ class CostEvaluator:
         evaluate the module doc's ratio of linear forms in r, over leading
         axes: (..., 2**Q) amplitudes give (...) values and (..., C)
         readouts. Complex amplitudes are accepted only with a zero
-        imaginary part.
+        imaginary part. Non-finite amplitudes give NaN readouts, which fail
+        the degeneracy test exactly and the shot draw sampled.
         """
         x = _real_amplitudes(amplitudes)
         tables, f, weights, beta_count, norm2 = self._readout_form
@@ -458,12 +471,9 @@ class CostEvaluator:
         if shots is not None:
             readouts = sim.shot_estimates(readouts, shots, rng)
         weighted = weights * readouts
-        denominator = norm2 + weighted[..., :beta_count].sum(-1)
-        if denominator.min() < 1e-12:
-            raise DegenerateStateError(
-                "norm of A|x(theta)> is numerically zero; cost undefined"
-            )
-        numerator = weighted[..., beta_count:].sum(-1)
+        denominator = norm2 + np.add.reduce(weighted[..., :beta_count], -1)
+        _check_norm(denominator)
+        numerator = np.add.reduce(weighted[..., beta_count:], -1)
         value = 0.5 - numerator / (2.0 * self.num_qubits * denominator)
         return CostBreakdown(value=value, readouts=readouts)
 
@@ -503,7 +513,8 @@ def rescale_solution(x: np.ndarray, system: problem.BlockSystem) -> np.ndarray:
     blocks: (..., 2**Q) amplitudes give (..., n_t - 1, n) fields. Built
     from elementwise products and last-axis sums, so each row matches
     the row-wise call bit for bit. Raises `DegenerateStateError` if A x
-    vanishes for any row; complex amplitudes need a zero imaginary part.
+    vanishes or is not finite for any row; complex amplitudes need a zero
+    imaginary part.
     """
     x = _real_amplitudes(x)
     dim = system.a_reduced.shape[0]
@@ -511,8 +522,8 @@ def rescale_solution(x: np.ndarray, system: problem.BlockSystem) -> np.ndarray:
         raise ValueError(f"expected {dim} amplitudes on the last axis, got shape {x.shape}")
     ax = (system.a_reduced * x[..., None, :]).sum(-1)
     norm2 = (ax * ax).sum(-1)
-    if np.any(norm2 < 1e-18):
-        raise DegenerateStateError("A x is numerically zero; run did not converge")
+    if not np.minimum.reduce(norm2, axis=None) >= 1e-18:
+        raise DegenerateStateError("A x is numerically zero or not finite; run did not converge")
     scale = (ax * system.b_raw).sum(-1) / norm2
     return (scale[..., None] * x).reshape(x.shape[:-1] + (system.spec.n_t - 1, system.spec.n))
 
@@ -597,6 +608,11 @@ def _b_preparation(system: problem.BlockSystem) -> sim.Circuit | np.ndarray:
 # Specs whose builds `_reference` and `_cost_evaluator` keep per process.
 _MEMO_SIZE = 8
 
+# Bytes of the (rows, units, 2**Q, 2**Q) operator stack that one
+# `ansatz_amplitudes` call of the solution traces builds: 8192 rows of the
+# default 3-qubit, 4-unit ansatz, 128 at Q = 6, 8 at Q = MAX_QUBITS.
+_TRACE_BYTES = 2**24
+
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _reference(spec: problem.ProblemSpec) -> tuple[problem.BlockSystem, np.ndarray]:
@@ -652,15 +668,19 @@ def run_ensemble(
     point stack of the m members still running with one
     `ansatz_amplitudes` call and one cost call. A member that hits the
     iteration cap is returned with converged=False. After the run every
-    member's solution trace, (iterations + 1, n_t - 1, n), comes from one
-    `ansatz_amplitudes` call and one `rescale_solution` call; u_fields is
-    its last row, and a degenerate state at any theta_k raises
+    member's solution trace, (iterations + 1, n_t - 1, n), comes from
+    `ansatz_amplitudes` and `rescale_solution` calls on chunks of the
+    stacked theta_k of all members, each chunk's (rows, units, 2**Q,
+    2**Q) operator stack within `_TRACE_BYTES` (one chunk at Q = 3 up to
+    8192 rows), and rows are byte-equal in any chunk; u_fields is its
+    last row, and a degenerate state at any theta_k raises
     `DegenerateStateError` there.
 
     Member i draws its start and SPSA perturbations from
     `default_rng(base_seed + i)`, and its shot noise, one draw per
-    iteration, from a stream spawned from `SeedSequence(base_seed + i)`,
-    so the sampler never shifts the perturbations.
+    iteration, from `SeedSequence(base_seed + i, spawn_key=(0,))`, the
+    stream that `SeedSequence(base_seed + i).spawn(1)[0]` gives, so the
+    sampler never shifts the perturbations.
 
     Without an ansatz the register comes from the spec (`ansatz_for`);
     without a config, SPSA runs with `DEFAULT_SPSA`. `workers` is
@@ -692,7 +712,7 @@ def run_ensemble(
             return evaluator.dense_cost(ansatz_amplitudes(ansatz, points))
     else:
         shot_rngs = [
-            np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]) for seed in seeds
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))) for seed in seeds
         ]
 
         def cost(points, members):
@@ -700,16 +720,20 @@ def run_ensemble(
             return evaluator.local_cost_of_state(x, shots, [shot_rngs[i] for i in members]).value
 
     results = spsa.run_lockstep(theta_init, cost, spsa_cfg, rngs)
-    # every member's theta_0 .. theta_final, member by member, in one kernel call
+    # every member's theta_0 .. theta_final, member by member, in chunks of
+    # rows whose operator stack fits the byte budget
     thetas = np.concatenate([r.theta_trace for r in results])
-    fields = rescale_solution(ansatz_amplitudes(ansatz, thetas), system)
-    traces = np.split(fields, np.cumsum([r.iterations + 1 for r in results])[:-1])
+    chunk = max(1, _TRACE_BYTES // (8 * ansatz.units * 4**ansatz.num_qubits))
+    fields = np.concatenate([
+        rescale_solution(ansatz_amplitudes(ansatz, thetas[start:start + chunk]), system)
+        for start in range(0, len(thetas), chunk)
+    ])
+    ends = list(accumulate(r.iterations + 1 for r in results))
+    traces = [fields[start:end] for start, end in zip([0, *ends], ends)]
     circuits = circuit_count(ansatz.num_qubits, evaluator.term_count, "full_sym")
     # every member's final fields against the classical ones, per time level
-    finals = np.array([trace[-1] for trace in traces])
-    reference = np.broadcast_to(classical, finals.shape)
-    rmse = problem.rmse(finals, reference).tolist()
-    relative = problem.relative_error(finals, reference).tolist()
+    errors = problem.rmse(fields[[end - 1 for end in ends]], classical)
+    rmse, relative = errors.tolist(), problem._relative(errors, classical).tolist()
     records = []
     for seed, result, solution_trace, member_rmse, member_relative in zip(
         seeds, results, traces, rmse, relative

@@ -122,8 +122,8 @@ def _expectation(amplitudes=STATE, label="ZI"):
     return sim.expectation(amplitudes, label)
 
 
-def _sample_expectation(label="ZI", shots=16, seed=0):
-    return sim.sample_expectation(STATE, label, shots, seed)
+def _sample_expectation(amplitudes=STATE, label="ZI", shots=16, seed=0):
+    return sim.sample_expectation(amplitudes, label, shots, seed)
 
 
 def _prepare_b_circuit(phi_deg=10.0, num_qubits=3):
@@ -187,6 +187,8 @@ CALL_CASES = [
 @example(case=("sample_expectation", "shots"), value=2.5)
 @example(case=("sample_expectation", "seed"), value=-1)
 @example(case=("sample_expectation", "seed"), value=None)
+@example(case=("sample_expectation", "amplitudes"), value=np.zeros(4))
+@example(case=("sample_expectation", "amplitudes"), value=np.array([np.nan, 1.0, 0.0, 0.0]))
 @example(case=("Circuit.ry", "angle"), value=float("nan"))
 @example(case=("Circuit.h", "q"), value=0.5)
 @example(case=("prepare_b_circuit", "num_qubits"), value=2.5)

@@ -230,6 +230,14 @@ class TestSampleExpectation:
         with pytest.raises(TypeError, match="seed"):
             sample_expectation(Circuit(1).h(0).run(), "Z", 16)
 
+    @pytest.mark.parametrize(
+        "amplitudes", [np.zeros(2), np.array([np.nan, 1.0])], ids=["all-zero", "nan"]
+    )
+    def test_norm_must_be_positive_and_finite(self, amplitudes):
+        # <psi|psi> normalises the mean, so 0 and NaN name the amplitudes
+        with pytest.raises(ValueError, match="^amplitudes must have a positive finite norm"):
+            sample_expectation(amplitudes, "Z", 16, seed=0)
+
 
 class Recording:
     """A generator stand-in that counts its binomial draws."""
@@ -260,6 +268,13 @@ class TestShotEstimates:
         for j in range(members):
             single = shot_estimates(means[..., j, :], 8192, np.random.default_rng([5, j]))
             assert batched[..., j, :].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("rng", [np.random.default_rng(0), [np.random.default_rng(0)]],
+                             ids=["generator", "list"])
+    def test_nan_means_named(self, rng):
+        means = np.array([[0.5, np.nan, -0.5]])
+        with pytest.raises(ValueError, match="^means must be readout means, not NaN$"):
+            shot_estimates(means, 64, rng)
 
     @pytest.mark.parametrize(
         "shots, make_rng",

@@ -503,6 +503,30 @@ class TestLocalCost:
         with pytest.raises(DegenerateStateError):
             ev.dense_cost(state)
 
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            np.full(8, np.nan), np.full(8, np.inf), np.where(np.arange(8) == 2, -np.inf, 0.0),
+            np.where(np.arange(3)[:, None] == 1, np.nan, ansatz_amplitudes(ANSATZ, np.ones((3, 12)))),
+        ],
+        ids=["nan", "inf", "one-minus-inf", "one-nan-row"],
+    )
+    def test_non_finite_amplitudes_rejected(self, evaluator, amplitudes):
+        # the degeneracy tests fail on NaN, which non-finite amplitudes give,
+        # exactly; sampled, the draw names the readout means. NumPy warns
+        # on the inf * 0 products of infinite amplitudes
+        rows = amplitudes.reshape(-1, 1, 8)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DegenerateStateError, match="zero or not finite"):
+                evaluator.dense_cost(amplitudes)
+            with pytest.raises(DegenerateStateError, match="zero or not finite"):
+                evaluator.local_cost_of_state(amplitudes)
+            with pytest.raises(DegenerateStateError, match="zero or not finite"):
+                rescale_solution(amplitudes, SYSTEM)
+            for rng in (np.random.default_rng(0), [np.random.default_rng(0)]):
+                with pytest.raises(ValueError, match="^means must be readout means, not NaN"):
+                    evaluator.local_cost_of_state(rows, 64, rng)
+
     def test_empty_decomposition_rejected(self):
         empty = pauli.PauliDecomposition(num_qubits=3, terms=())
         with pytest.raises(ValueError, match="no terms"):
@@ -717,6 +741,35 @@ class TestSolve:
             assert member.solution_trace.shape == (6, 2, 4)
             final = rescale_solution(ansatz_amplitudes(ANSATZ, member.theta_final), SYSTEM)
             assert member.u_fields.tobytes() == final.tobytes()
+
+    def test_trace_chunks_stay_within_the_byte_budget(self, monkeypatch):
+        # at Q = 6 a 4-unit row's operator stack is 128 KB, so the 4 x 41
+        # trace rows take two calls under the 16 MB budget
+        spec = problem.ProblemSpec(n=32, n_t=3)
+        ansatz = vqls.ansatz_for(spec)
+        shapes = []
+        amplitudes = vqls.ansatz_amplitudes
+
+        def recording(cfg, theta):
+            shapes.append(np.shape(theta))
+            return amplitudes(cfg, theta)
+
+        monkeypatch.setattr(vqls, "ansatz_amplitudes", recording)
+        cfg = spsa.SpsaConfig(max_iter=40, stop_rule="none")
+        records = run_ensemble(spec, spsa_cfg=cfg, ensemble_size=4)
+        monkeypatch.undo()
+        row_bytes = 8 * ansatz.units * 4**ansatz.num_qubits
+        assert max(np.prod(shape[:-1]) * row_bytes for shape in shapes) <= 2**24
+        assert shapes[-2:] == [(128, 24), (36, 24)]
+        # rows are byte-equal in any chunk: one call for all rows gives the
+        # same records
+        monkeypatch.setattr(vqls, "_TRACE_BYTES", 2**40)
+        whole = run_ensemble(spec, spsa_cfg=cfg, ensemble_size=4)
+        assert [r.to_dict() for r in records] == [r.to_dict() for r in whole]
+        system, _ = vqls._reference(spec)
+        for record in records:
+            final = rescale_solution(ansatz_amplitudes(ansatz, record.theta_final), system)
+            assert record.u_fields.tobytes() == final.tobytes()
 
     @pytest.mark.parametrize("n, n_t", [(4, 3), (16, 3)])
     @pytest.mark.parametrize("shots", [None, 8192])
