@@ -218,7 +218,8 @@ def rmse(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape[a.ndim - b.ndim:] != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _float_if_scalar(np.sqrt(np.mean((a - b) ** 2, axis=-1)))
+    # np.mean's own sum and division, without its dispatch
+    return _float_if_scalar(np.sqrt(np.add.reduce((a - b) ** 2, -1) / a.shape[-1]))
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -230,7 +231,7 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 def _relative(error: float | np.ndarray, b: np.ndarray) -> np.ndarray:
     """An rmse against the reference b, normalized by the RMS of b."""
-    reference_rms = np.sqrt(np.mean(b**2, axis=-1))
+    reference_rms = np.sqrt(np.add.reduce(b**2, -1) / b.shape[-1])
     if not reference_rms.all():
         raise ValueError("reference vector is identically zero")
     return error / reference_rms

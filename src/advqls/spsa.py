@@ -9,10 +9,14 @@ updates theta and wraps every component into [0, 2 pi).
 iteration loop is `run_lockstep`: it steps M parameter vectors at once,
 each drawing Delta from its own generator, and hands every iteration's
 points to one batched cost call as the (2, m, P) stack of the m vectors
-still running. A vector whose stopping rule fires drops out of the
-stack. Delta is drawn for up to 64 iterations at a time, in rows equal
-to the per-step draws, and the update is elementwise, so every vector's
-result equals a loop of `step` calls on its generator bit for bit. One
+still running. The opening call costs theta_0 together with iteration
+0's pair, as one (3, m, P) stack, since that pair needs theta_0 and
+Delta_0 but not C(theta_0); so a run of K iterations makes K cost calls,
+or one on theta_0 alone when max_iter is 0. A vector whose stopping rule
+fires drops out of the stack. Delta is drawn for up to 64 iterations at
+a time, in rows equal to the per-step draws, and the update is
+elementwise, so every vector's result equals a loop of `step` calls on
+its generator bit for bit. One
 history of the iterations run, sorted once by vector and cut by slicing,
 gives every vector its `cost_trace` and `theta_trace`, which hold every
 iterate and cost estimate. `run` is the one-vector case on a scalar
@@ -136,10 +140,11 @@ def run(
 
     cost_trace[0] is the cost at theta_init (one extra evaluation beyond
     the two per iteration), so traces always carry an iteration-0 row.
-    Each iteration calls `cost_fn` on theta + c_k Delta, then on
-    theta - c_k Delta. This is the one-vector case of `run_lockstep`,
-    so the result equals a loop of `step` calls on the same generator
-    bit for bit, and the generator's state after `run` is unspecified.
+    `cost_fn` is called on theta_init, then, each iteration, on
+    theta + c_k Delta and then on theta - c_k Delta. This is the
+    one-vector case of `run_lockstep`, so the result equals a loop of
+    `step` calls on the same generator bit for bit, and the generator's
+    state after `run` is unspecified.
     """
     theta = np.asarray(theta_init, dtype=float)
 
@@ -148,6 +153,20 @@ def run(
         return np.array(flat, dtype=float).reshape(points.shape[:-1])
 
     return run_lockstep(theta[None], cost, cfg, [rng])[0]
+
+
+def _delta_block(k, cfg, rngs, rows, size):
+    """The Delta block of iterations j = k .. k + B - 1, B <= 64: the gains
+    a_j, and from the perturbations c_j Delta_j of the running rows the
+    (B, 2, m, P) offsets of both points and the (B, m, P) divisors
+    2 c_j Delta_j. Each row draws its B Deltas in one `integers` call."""
+    js = range(k, min(k + _DELTA_BLOCK, cfg.max_iter))
+    # `gains`' arithmetic, for the whole block at once
+    a_block = [cfg.a / (j + 1 + cfg.A) ** cfg.alpha for j in js]
+    c_block = np.array([cfg.c / (j + 1) ** cfg.gamma for j in js])
+    deltas = np.stack([rngs[i].integers(0, 2, size=(len(js), size)) for i in rows.tolist()], 1)
+    perturbations = c_block[:, None, None] * (deltas * 2 - 1)
+    return a_block, _SIGNS * perturbations[:, None], 2.0 * perturbations
 
 
 def run_lockstep(
@@ -160,13 +179,16 @@ def run_lockstep(
     drawing Delta from `rngs[i]`.
 
     `cost(points, rows)` gets one stack of points of the m rows still
-    running, named by the index array `rows`: their (m, P) starting
-    vectors once, then every iteration's (2, m, P) stack, theta + c_k Delta
-    over theta - c_k Delta. It returns their costs as an array of shape
-    (m,) or (2, m). A row leaves the stack after the iteration on which
-    its stopping rule fires. Delta is drawn for up to 64 iterations at a
-    time with one `integers` call per row, whose rows equal the per-step
-    draws, so a row that stops early has drawn ahead.
+    running, named by the index array `rows`, and returns their costs,
+    the stack's shape without its last axis. Every iteration k >= 1
+    gets the (2, m, P) stack theta + c_k Delta over theta - c_k Delta.
+    The opening call gets the (3, m, P) stack of the starting vectors
+    over iteration 0's pair, whose row 0 gives C(theta_0); with
+    max_iter = 0 it is the (1, m, P) stack of the starting vectors alone,
+    and no Delta is drawn. A row leaves the stack after the iteration on
+    which its stopping rule fires. Delta is drawn for up to 64 iterations
+    at a time with one `integers` call per row, whose rows equal the
+    per-step draws, so a row that stops early has drawn ahead.
 
     Each iteration appends (rows, theta, cost estimates) to one history,
     which grows with the iterations run, never with `max_iter`. Returns
@@ -181,24 +203,25 @@ def run_lockstep(
             f"{theta.shape} and {len(rngs)} generators"
         )
     rows = np.arange(len(theta))
-    estimate = np.array(cost(theta, rows), dtype=float)
+    # the opening call: theta_0, over iteration 0's pair when there is one
+    points = theta[None]
+    if cfg.max_iter:
+        a_block, offsets, divisors = _delta_block(0, cfg, rngs, rows, theta.shape[1])
+        points = np.concatenate((points, theta + offsets[0]))
+    opening = np.array(cost(points, rows), dtype=float)
+    estimate, pair = opening[0], opening[1:]
     history = [(rows, theta, estimate)]   # (rows, theta_k, C_k) per iteration k
     converged = np.zeros(len(theta), dtype=bool)
     streak = np.zeros(len(theta), dtype=int)
     for k in range(cfg.max_iter):
         row = k % _DELTA_BLOCK
-        if row == 0:
-            # the block's gains, then from its perturbations c_k Delta_k the
-            # offsets of both points and the divisors 2 c_k Delta_k
-            block = [gains(j, cfg) for j in range(k, min(k + _DELTA_BLOCK, cfg.max_iter))]
-            size = (len(block), theta.shape[1])
-            deltas = np.stack([rngs[i].integers(0, 2, size=size) for i in rows], 1) * 2 - 1
-            perturbations = np.array([c_j for _, c_j in block])[:, None, None] * deltas
-            offsets, divisors = _SIGNS * perturbations[:, None], 2.0 * perturbations
-        pair = cost(theta + offsets[row], rows)
+        if k:
+            if not row:
+                a_block, offsets, divisors = _delta_block(k, cfg, rngs, rows, theta.shape[1])
+            pair = cost(theta + offsets[row], rows)
         plus, minus = pair[0], pair[1]   # indexing: faster than unpacking by iteration
         # `step`'s arithmetic: theta - a_k * gradient, wrapped into [0, 2 pi)
-        theta = (theta - block[row][0] * ((plus - minus)[:, None] / divisors[row])) % _TWO_PI
+        theta = (theta - a_block[row] * ((plus - minus)[:, None] / divisors[row])) % _TWO_PI
         previous, estimate = estimate, 0.5 * (plus + minus)
         history.append((rows, theta, estimate))
         if cfg.stop_rule == "none":

@@ -72,9 +72,12 @@ byte-equal to the single-state call whatever batch it rides in.
 `run_ensemble` uses that to step every member in lockstep in one
 process: each SPSA iteration makes one `ansatz_amplitudes` call on the
 (2, m, P) stack of the m members still running and costs it in one
-call, and the solution traces of all members come from one call each
-after the run, split into row chunks under a fixed byte budget at large
-Q. `solve` is its one-member case.
+call. The first call costs theta_0 with iteration 0's pair, a (3, m, P)
+stack whose operator stack is 3/2 of a pair call's (theta_0 alone when
+max_iter is 0), so a run of K iterations makes K cost calls. The
+solution traces of all members come from one call each after the run,
+split into row chunks under a fixed byte budget at large Q. `solve` is
+its one-member case.
 
 The module keeps state across calls in exactly three `lru_cache`s:
 
@@ -323,7 +326,7 @@ def _gram_entries(x, perm, sign, k, circuits) -> np.ndarray:
 def _real_amplitudes(amplitudes) -> np.ndarray:
     """`amplitudes` as a real array: complex ones only with a zero imaginary part."""
     x = np.asarray(amplitudes)
-    if np.iscomplexobj(x) and x.imag.any():
+    if x.dtype.kind == "c" and x.imag.any():
         raise ValueError("amplitudes must be real: the ansatz state is real")
     return x.real
 
@@ -520,11 +523,13 @@ def rescale_solution(x: np.ndarray, system: problem.BlockSystem) -> np.ndarray:
     dim = system.a_reduced.shape[0]
     if x.ndim == 0 or x.shape[-1] != dim:
         raise ValueError(f"expected {dim} amplitudes on the last axis, got shape {x.shape}")
-    ax = (system.a_reduced * x[..., None, :]).sum(-1)
-    norm2 = (ax * ax).sum(-1)
-    if not np.minimum.reduce(norm2, axis=None) >= 1e-18:
+    ax = np.add.reduce(system.a_reduced * x[..., None, :], -1)
+    norm2 = np.add.reduce(ax * ax, -1)
+    # once per call: NaN fails both bounds, an overflowed inf the upper one
+    if not (np.minimum.reduce(norm2, axis=None) >= 1e-18
+            and np.maximum.reduce(norm2, axis=None) < np.inf):
         raise DegenerateStateError("A x is numerically zero or not finite; run did not converge")
-    scale = (ax * system.b_raw).sum(-1) / norm2
+    scale = np.add.reduce(ax * system.b_raw, -1) / norm2
     return (scale[..., None] * x).reshape(x.shape[:-1] + (system.spec.n_t - 1, system.spec.n))
 
 
@@ -666,7 +671,10 @@ def run_ensemble(
     closed form when shots is None, else the sampled term sum, one
     shot draw per full_sym circuit. Each iteration costs the (2, m, P)
     point stack of the m members still running with one
-    `ansatz_amplitudes` call and one cost call. A member that hits the
+    `ansatz_amplitudes` call and one cost call; the first call costs the
+    (3, m, P) stack of theta_0 over iteration 0's pair, so its
+    (3, m, units, 2**Q, 2**Q) operator stack is 3/2 of a pair call's
+    (theta_0 alone, (1, m, P), when max_iter is 0). A member that hits the
     iteration cap is returned with converged=False. After the run every
     member's solution trace, (iterations + 1, n_t - 1, n), comes from
     `ansatz_amplitudes` and `rescale_solution` calls on chunks of the
@@ -677,10 +685,12 @@ def run_ensemble(
     `DegenerateStateError` there.
 
     Member i draws its start and SPSA perturbations from
-    `default_rng(base_seed + i)`, and its shot noise, one draw per
-    iteration, from `SeedSequence(base_seed + i, spawn_key=(0,))`, the
-    stream that `SeedSequence(base_seed + i).spawn(1)[0]` gives, so the
-    sampler never shifts the perturbations.
+    `default_rng(base_seed + i)`, and its shot noise, one binomial call
+    per cost call, from `SeedSequence(base_seed + i, spawn_key=(0,))`,
+    the stream that `SeedSequence(base_seed + i).spawn(1)[0]` gives, so
+    the sampler never shifts the perturbations. The first call draws
+    theta_0's readouts, then iteration 0's pair, in one call: the draws
+    of a theta_0 call followed by a pair call.
 
     Without an ansatz the register comes from the spec (`ansatz_for`);
     without a config, SPSA runs with `DEFAULT_SPSA`. `workers` is
@@ -717,7 +727,8 @@ def run_ensemble(
 
         def cost(points, members):
             x = ansatz_amplitudes(ansatz, points)
-            return evaluator.local_cost_of_state(x, shots, [shot_rngs[i] for i in members]).value
+            generators = [shot_rngs[i] for i in members.tolist()]
+            return evaluator.local_cost_of_state(x, shots, generators).value
 
     results = spsa.run_lockstep(theta_init, cost, spsa_cfg, rngs)
     # every member's theta_0 .. theta_final, member by member, in chunks of

@@ -252,10 +252,13 @@ class Recording:
 
 class TestShotEstimates:
     # C = 105 circuits, as on the default spec; (2, m, C) is an iteration's
-    # two points for m members, (m, C) the theta_0 call, and any leading
-    # axes may come before the member axis
+    # two points for m members, (3, m, C) the opening call's theta_0 over
+    # iteration 0's pair, (m, C) has no leading axis, and any leading axes
+    # may come before the member axis
     @pytest.mark.parametrize(
-        "shape", [(2, 1, 105), (2, 3, 105), (2, 24, 105), (24, 105), (3, 2, 4, 105)]
+        "shape",
+        [(2, 1, 105), (2, 3, 105), (2, 24, 105), (24, 105), (3, 2, 4, 105), (3, 1, 105),
+         (3, 24, 105)],
     )
     def test_generator_list_matches_per_row_calls(self, shape):
         # generator j of a list draws rows [..., j, :] bit for bit as it

@@ -212,7 +212,8 @@ def step_loop(theta, cost, cfg, rng):
 
 class TestPairCost:
     """The lockstep loop hands each iteration's points to its cost as one
-    (2, m, P) stack, theta + c_k Delta over theta - c_k Delta."""
+    (2, m, P) stack, theta + c_k Delta over theta - c_k Delta; the opening
+    call's (3, m, P) stack holds theta_0 over iteration 0's pair."""
 
     @pytest.mark.parametrize("p", [5, 12])
     @pytest.mark.parametrize("rule, tol", [("none", 1e-2), ("diff", 1e-3), ("threshold", 1e-2)])
@@ -240,7 +241,7 @@ class TestPairCost:
                 assert got.converged == converged
             iterations.append(result.iterations)
         running = [sum(n > k for n in iterations) for k in range(max(iterations))]
-        assert shapes == [(4, p)] + [(2, m, p) for m in running]
+        assert shapes == [(3, 4, p)] + [(2, m, p) for m in running[1:]]
         if rule == "none":
             assert iterations == [130] * 4
         else:
@@ -263,11 +264,13 @@ class TestPairCost:
         results = run_lockstep(
             np.zeros((2, p)), recording, cfg, [np.random.default_rng(seed + i) for i in range(2)]
         )
-        assert len(points) == 1 + 130
+        assert len(points) == 130
+        assert points[0][0].tobytes() == np.zeros((2, p)).tobytes()
         for i in range(2):
             replay = np.random.default_rng(seed + i)
             thetas = results[i].theta_trace
-            for k, x in enumerate(points[1:]):
+            # iteration 0's points ride below theta_0 in the opening call
+            for k, x in enumerate([points[0][1:]] + points[1:]):
                 _, c_k = gains(k, cfg)
                 delta = replay.integers(0, 2, p) * 2 - 1
                 expected = np.stack((thetas[k] + c_k * delta, thetas[k] - c_k * delta))
@@ -287,10 +290,33 @@ class TestPairCost:
         assert [r.converged for r in results] == [True, False, False]
         assert [r.cost_trace for r in results] == [[0.0] * 3, [1.0] * 11, [2.0] * 11]
         assert seen == (
-            [((3, 2), [0, 1, 2])]
-            + [((2, 3, 2), [0, 1, 2])] * 2
+            [((3, 3, 2), [0, 1, 2])]
+            + [((2, 3, 2), [0, 1, 2])]
             + [((2, 2, 2), [1, 2])] * 8
         )
+
+    def test_zero_max_iter_costs_theta_0_alone(self):
+        # one cost call on the (1, m, P) stack of the starting vectors, and
+        # no Delta drawn
+        starts = np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, (3, 4))
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        states = [rng.bit_generator.state for rng in rngs]
+        seen = []
+
+        def cost(points, rows):
+            seen.append((points.copy(), rows.tolist()))
+            return points.sum(-1)
+
+        results = run_lockstep(starts, cost, SpsaConfig(max_iter=0), rngs)
+        assert len(seen) == 1
+        assert seen[0][0].shape == (1, 3, 4)
+        assert seen[0][0].tobytes() == starts.tobytes()
+        assert seen[0][1] == [0, 1, 2]
+        assert [rng.bit_generator.state for rng in rngs] == states
+        for start, result in zip(starts, results):
+            assert result.iterations == 0
+            assert result.cost_trace == [float(start.sum())]
+            assert result.theta_trace.tobytes() == start.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="generators"):

@@ -33,6 +33,8 @@ SYSTEM = problem.build_block_system(SPEC)
 DECOMP = pauli.decompose(SYSTEM.a_reduced)
 ANSATZ = AnsatzConfig(num_qubits=3, units=4)
 B_CIRCUIT = sim.prepare_b_circuit(problem.fit_phi_degrees(SYSTEM.b_state))
+# the one line of every degenerate cost
+DEGENERATE = "norm of A|x(theta)> is numerically zero or not finite; cost undefined"
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +292,8 @@ class TestSampledStrings:
     @pytest.mark.parametrize("n, n_t, circuits", [(4, 3, 105), (16, 3, 1925)])
     def test_one_binomial_draw_per_circuit(self, monkeypatch, n, n_t, circuits):
         # one draw per circuit and evaluation, made as one binomial call per
-        # iteration: theta_0, then the iteration's two points at once
+        # cost call: theta_0 over iteration 0's two points, then each later
+        # iteration's two points at once
         spec = problem.ProblemSpec(n=n, n_t=n_t)
         generators = []
 
@@ -303,10 +306,33 @@ class TestSampledStrings:
         draws = [draw for g in generators for draw in g.draws]
         assert record.circuits_per_evaluation == circuits
         assert record.cost_evaluations == 5
-        assert [p.shape for _, p, _ in draws] == [(circuits,), (2, circuits), (2, circuits)]
+        assert [p.shape for _, p, _ in draws] == [(3, circuits), (2, circuits)]
         for shots, p, counts in draws:
             assert shots == 8192
             assert p.shape == counts.shape
+
+    def test_opening_draw_replays_two_call_protocol(self, monkeypatch):
+        # each member's first binomial call is one (3, C) block, theta_0's
+        # readouts over iteration 0's pair, and its counts are those of a
+        # (C,) draw and then a (2, C) draw on the member's shot stream
+        generators = []
+
+        def recording(seed=None):
+            generators.append(RecordingGenerator(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        cfg = spsa.SpsaConfig(max_iter=3, stop_rule="none")
+        run_ensemble(SPEC, spsa_cfg=cfg, shots=8192, base_seed=4, ensemble_size=3)
+        monkeypatch.undo()
+        shot_generators = [g for g in generators if g.draws]
+        assert len(shot_generators) == 3
+        for i, g in enumerate(shot_generators):
+            assert [p.shape for _, p, _ in g.draws] == [(3, 105), (2, 105), (2, 105)]
+            shots, p, counts = g.draws[0]
+            replay = np.random.default_rng(np.random.SeedSequence(4 + i).spawn(1)[0])
+            first, pair = replay.binomial(shots, p[0]), replay.binomial(shots, p[1:])
+            assert counts.tobytes() == np.concatenate((first[None], pair)).tobytes()
 
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5)])
     def test_circuits_match_dense_hadamard_tests(self, n, n_t):
@@ -621,6 +647,19 @@ class TestSolutionExtraction:
             assert batched.shape == (batch, n_t - 1, n)
             assert batched.tobytes() == single[:batch].tobytes()
 
+    @pytest.mark.parametrize("row", [None, 5], ids=["vector", "one-row-of-24"])
+    def test_overflowing_norm_flagged(self, row):
+        # finite amplitudes whose ||A x||^2 overflows to inf would give
+        # all-zero fields; NumPy warns on the overflow
+        x = np.full(8, 1e200)
+        if row is not None:
+            thetas = np.random.default_rng(44).uniform(0, 2 * np.pi, (24, 12))
+            batch = ansatz_amplitudes(ANSATZ, thetas)
+            batch[row], x = x, batch
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateStateError, match="zero or not finite"):
+                rescale_solution(x, SYSTEM)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="amplitudes"):
             rescale_solution(np.zeros(7), SYSTEM)
@@ -716,9 +755,9 @@ class TestSolve:
         assert len(calls) == builds
 
     def test_trace_built_in_one_batched_call(self, monkeypatch):
-        # one state per starting vector, one (2, m, P) batch per SPSA
-        # iteration and one batch for every member's whole trace; two calls
-        # per iteration would make 12 for one member
+        # one (3, m, P) batch of the starting vectors over iteration 0's
+        # points, one (2, m, P) batch per later SPSA iteration and one batch
+        # for every member's whole trace
         shapes = []
         amplitudes = vqls.ansatz_amplitudes
 
@@ -729,12 +768,13 @@ class TestSolve:
         monkeypatch.setattr(vqls, "ansatz_amplitudes", counting)
         cfg = spsa.SpsaConfig(max_iter=5, stop_rule="none")
         rec = solve(SPEC, spsa_cfg=cfg, seed=0)
-        assert shapes == [(1, 12)] + [(2, 1, 12)] * rec.iterations + [(rec.iterations + 1, 12)]
-        assert len(shapes) == 7
+        pairs = [(2, 1, 12)] * (rec.iterations - 1)
+        assert shapes == [(3, 1, 12)] + pairs + [(rec.iterations + 1, 12)]
+        assert len(shapes) == 6
         shapes.clear()
         records = run_ensemble(SPEC, spsa_cfg=cfg, ensemble_size=3)
         monkeypatch.undo()
-        assert shapes == [(3, 12)] + [(2, 3, 12)] * 5 + [(18, 12)]
+        assert shapes == [(3, 3, 12)] + [(2, 3, 12)] * 4 + [(18, 12)]
         final = rescale_solution(ansatz_amplitudes(ANSATZ, rec.theta_final), SYSTEM)
         assert rec.u_fields.tobytes() == final.tobytes()
         for member in records:
@@ -814,6 +854,80 @@ class TestSolve:
                 assert rec.converged == (streak >= cfg.patience)
             iterations = {rec.iterations for rec in records}
             assert iterations == {70} if rule == "none" else len(iterations) > 1
+
+    @pytest.mark.parametrize("point", [0, 1, 2], ids=["theta_0", "plus", "minus"])
+    def test_degenerate_opening_point_raises_exact(self, monkeypatch, point):
+        # member 1 of 3 gets a zero state at theta_0, theta_0 + c_0 Delta_0
+        # or theta_0 - c_0 Delta_0; the opening call raises the one line
+        # that costing that state alone raises
+        cfg = spsa.SpsaConfig(max_iter=3, stop_rule="none")
+        rng = np.random.default_rng(5 + 1)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 12)
+        perturbation = spsa.gains(0, cfg)[1] * (rng.integers(0, 2, 12) * 2 - 1)
+        target = (theta, theta + perturbation, theta - perturbation)[point]
+        shapes = []
+        amplitudes = vqls.ansatz_amplitudes
+
+        def zeroing(ansatz, points):
+            shapes.append(np.shape(points))
+            x = amplitudes(ansatz, points)
+            x[(points == target).all(-1)] = 0.0
+            return x
+
+        monkeypatch.setattr(vqls, "ansatz_amplitudes", zeroing)
+        with pytest.raises(DegenerateStateError) as raised:
+            run_ensemble(SPEC, spsa_cfg=cfg, base_seed=5, ensemble_size=3)
+        monkeypatch.undo()
+        with pytest.raises(DegenerateStateError) as alone:
+            vqls._cost_evaluator(SPEC, ANSATZ).dense_cost(np.zeros(8))
+        assert str(raised.value) == str(alone.value) == DEGENERATE
+        assert shapes == [(3, 3, 12)]
+
+    def test_degenerate_opening_point_raises_at_16_shots(self, monkeypatch):
+        # at 16 shots a sampled denominator can reach 0. Oracle: the scalar
+        # protocol, theta_0's cost and then step 0 on the member's streams;
+        # a seed of 0..199 raises in solve exactly when it raises there,
+        # with the same line, and in the one opening call
+        cfg = spsa.SpsaConfig(max_iter=1, stop_rule="none")
+        ev = vqls._cost_evaluator(SPEC, ANSATZ)
+        amplitudes = vqls.ansatz_amplitudes
+        shapes = []
+
+        def counting(ansatz, points):
+            shapes.append(np.shape(points))
+            return amplitudes(ansatz, points)
+
+        def outcome(run):
+            try:
+                run()
+            except DegenerateStateError as exc:
+                return str(exc)
+            return None
+
+        raised = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            theta = rng.uniform(0.0, 2.0 * np.pi, 12)
+            shot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+            def cost(t):
+                return ev.local_cost_of_state(amplitudes(ANSATZ, t), 16, shot_rng).value
+
+            def protocol():
+                cost(theta)
+                spsa.step(theta, cost, 0, cfg, rng)
+
+            expected = outcome(protocol)
+            shapes.clear()
+            monkeypatch.setattr(vqls, "ansatz_amplitudes", counting)
+            got = outcome(lambda: solve(SPEC, spsa_cfg=cfg, shots=16, seed=seed))
+            monkeypatch.undo()
+            assert got == expected
+            if got is not None:
+                raised += 1
+                assert got == DEGENERATE
+                assert shapes == [(3, 1, 12)]
+        assert raised
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
