@@ -15,11 +15,13 @@ a 2x2 operator m to qubit q of a state, or of every column of a matrix;
 CZ and CRy select on the control bit with `np.where`.
 A state is a plain complex amplitude array: `Circuit.run()` returns a
 new one, prepared from |0...0>, and `expectation` and
-`sample_expectation` read one. Every shot readout in the package is a
-+/-1 outcome with mean r, so `shots` of them sum to 2k - shots with
-k ~ Binomial(shots, (1 + r) / 2); `shot_estimates` draws that estimate,
-2k / shots - 1, for `sample_expectation` at r = <P> and for `vqls` shot
-mode at each Hadamard-test readout; no other module draws shots.
+`sample_expectation` read one. No solver path runs a circuit: the
+ansatz and b-prep circuits are the tests' oracles. Every shot readout
+in the package is a +/-1 outcome with mean r, so `shots` of them sum to
+2k - shots with k ~ Binomial(shots, (1 + r) / 2); `shot_estimates` draws
+that estimate, 2k / shots - 1, for `sample_expectation` at r = <P> and
+for `vqls` shot mode at each Hadamard-test readout; no other module
+draws shots.
 
 Inputs follow the package's one policy. A `Circuit` gets its gates only
 through its builders, which check every qubit index and angle with
@@ -47,7 +49,6 @@ __all__ = [
     "expectation",
     "sample_expectation",
     "shot_estimates",
-    "prepare_b_circuit",
 ]
 
 # `Generator.binomial` takes shot counts as int64
@@ -208,22 +209,3 @@ def sample_expectation(amplitudes: np.ndarray, label: str, shots: int,
         raise ValueError(f"amplitudes must have a positive finite norm, got <psi|psi> = {norm2!r}")
     return float(shot_estimates(exact / norm2, shots, np.random.default_rng(seed)))
 
-
-def prepare_b_circuit(phi_deg: float, num_qubits: int = 3) -> Circuit:
-    """Circuit preparing the two-block right-hand-side state.
-
-    Output state: (cos phi/2, -sin phi/2, sin phi/2, -cos phi/2, 0, ..., 0)
-    / sqrt(2). Only the two least significant qubits are touched, so for
-    the default three-qubit register qubit 0 (the block qubit) stays |0>.
-    The branch with the upper ladder qubit at 0 needs Ry(-phi)|0>, the
-    branch at 1 needs Ry(phi - pi)|0>; the CRy supplies the difference on
-    top of the unconditional rotation.
-    """
-    num_qubits = _checks.integer("num_qubits", num_qubits, low=2)
-    upper, lower = num_qubits - 2, num_qubits - 1
-    phi = math.radians(_checks.real("phi_deg", phi_deg))
-    circuit = Circuit(num_qubits)
-    circuit.h(upper)
-    circuit.ry(-phi, lower)
-    circuit.cry(2.0 * phi - math.pi, upper, lower)
-    return circuit

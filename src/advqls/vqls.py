@@ -12,7 +12,8 @@ is built from the constituent expectation values
     beta_ll'    = <x| P_l P_l' |x>
     delta_ll'^q = <x| P_l U Z_q U^dag P_l' |x>,
 
-where U prepares |b>. C is 0 exactly when A|x> is proportional to |b>.
+where U prepares |b>, a real matrix built in closed form
+(`_b_preparation`). C is 0 exactly when A|x> is proportional to |b>.
 Both constituent matrices are Hermitian in (l, l') and the beta diagonal
 is 1, so a device runs one Hadamard test per beta_ll' with l < l' and
 per delta_ll'^q with l <= l': the "full symmetry" circuit-count mode
@@ -55,13 +56,13 @@ with H and G built on the evaluator's first exact cost (shot mode never
 builds them) from A = `pauli.reconstruct` of the evaluator's
 decomposition, which scatters the same signed permutations. They are kept
 as one (2, D, D) stack (G, H), so one matmul pair reads both forms. The
-state comes from `ansatz_amplitudes` without the gate interpreter. Each
-ansatz unit's real operator, the Ry layer times the fixed H/CZ
-entangler W, is linear in the unit's 2**Q products of cos/sin half
-angles, so one matmul of those products with a cached (2**Q, 4**Q)
-table gives every unit's operator; the table holds 8**Q doubles (4 KB
-at Q = 3, 256 KB at Q = 5, 16 MB at Q = 7, 134 MB at Q = MAX_QUBITS =
-8).
+state comes from `ansatz_amplitudes`, the package's one ansatz
+implementation (`ansatz_state` is its earlier name). Each ansatz
+unit's real operator, the Ry layer times the fixed H/CZ entangler W, is
+linear in the unit's 2**Q products of cos/sin half angles, so one matmul
+of those products with a cached (2**Q, 4**Q) table gives every unit's
+operator; the table holds 8**Q doubles (4 KB at Q = 3, 256 KB at Q = 5,
+16 MB at Q = 7, 134 MB at Q = MAX_QUBITS = 8).
 
 `ansatz_amplitudes`, `rescale_solution`, `CostEvaluator.dense_cost`
 and `CostEvaluator.local_cost_of_state` work over leading axes: (..., P)
@@ -101,6 +102,7 @@ hold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -119,7 +121,6 @@ __all__ = [
     "MAX_QUBITS",
     "SolveRecord",
     "ansatz_amplitudes",
-    "ansatz_circuit",
     "ansatz_for",
     "ansatz_state",
     "circuit_count",
@@ -194,24 +195,6 @@ def _angles(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def ansatz_circuit(cfg: AnsatzConfig, theta: np.ndarray) -> sim.Circuit:
-    """One unit = H on every qubit, CZ on each adjacent pair, Ry layer."""
-    theta = _angles(cfg, theta).reshape(cfg.units, cfg.num_qubits)
-    circuit = sim.Circuit(cfg.num_qubits)
-    for unit in theta:
-        for q in range(cfg.num_qubits):
-            circuit.h(q)
-        for q in range(cfg.num_qubits - 1):
-            circuit.cz(q, q + 1)
-        for q, angle in enumerate(unit):
-            circuit.ry(angle, q)
-    return circuit
-
-
-def ansatz_state(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    return ansatz_circuit(cfg, theta).run()
-
-
 def _read_only(*arrays: np.ndarray) -> None:
     for array in arrays:
         array.setflags(write=False)
@@ -260,7 +243,7 @@ def _unit_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    """Real amplitudes of `ansatz_circuit(cfg, theta).run()`, over leading axes.
+    """Real amplitudes of the ansatz (module doc) on |0...0>, over leading axes.
 
     Maps (..., P) angles to (..., 2**Q) amplitudes. Every unit's real
     2**Q x 2**Q operator, the Ry-layer product times the cached
@@ -283,6 +266,9 @@ def ansatz_amplitudes(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     for u in range(1, cfg.units):
         x = ops[:, u] @ x
     return x.reshape(theta.shape[:-1] + (2**nq,))
+
+
+ansatz_state = ansatz_amplitudes    # the earlier name, kept for the package export
 
 
 @dataclass
@@ -331,13 +317,17 @@ def _real_amplitudes(amplitudes) -> np.ndarray:
     return x.real
 
 
-def _check_norm(denominator: np.ndarray) -> None:
-    """The degeneracy test of both costs; NaN, from non-finite amplitudes,
-    fails it too."""
-    if not np.minimum.reduce(denominator, axis=None) >= 1e-12:
-        raise DegenerateStateError(
-            "norm of A|x(theta)> is numerically zero or not finite; cost undefined"
-        )
+def _check_norm(
+    denominator: np.ndarray,
+    bound: float = 1e-12,
+    message: str = "norm of A|x(theta)> is numerically zero or not finite; cost undefined",
+) -> None:
+    """The degeneracy test of both costs and `rescale_solution`: a
+    denominator below `bound`, NaN (from non-finite amplitudes) or inf
+    (from an overflowed quadratic form) raises `message`."""
+    if not (np.minimum.reduce(denominator, axis=None) >= bound
+            and np.maximum.reduce(denominator, axis=None) < np.inf):
+        raise DegenerateStateError(message)
 
 
 def _check_workers(workers) -> int:
@@ -352,15 +342,16 @@ def _check_workers(workers) -> int:
 class CostEvaluator:
     """Evaluates the local cost for one (decomposition, ansatz, b-prep) triple.
 
-    `b_prep` may be a Circuit or a dense unitary; it must be real, and its
-    action on |0...0> must be the normalized right-hand side.
+    `b_prep` is the dense matrix U of the right-hand-side preparation, as
+    `_b_preparation` builds it: finite, unitary and real, with U|0...0>
+    the normalized right-hand side. It is kept as a complex copy, `u`.
     """
 
     def __init__(
         self,
         decomposition: pauli.PauliDecomposition,
         ansatz: AnsatzConfig,
-        b_prep: sim.Circuit | np.ndarray,
+        b_prep: np.ndarray,
     ):
         if decomposition.term_count == 0:
             raise ValueError("decomposition has no terms")
@@ -375,10 +366,12 @@ class CostEvaluator:
         self.coefficients = decomposition.coefficients
         nq = ansatz.num_qubits
         dim = 2**nq
-        u = b_prep.unitary() if isinstance(b_prep, sim.Circuit) else np.array(b_prep, dtype=complex)
+        u = np.array(b_prep, dtype=complex)
         if u.shape != (dim, dim):
             raise ValueError(f"b-prep unitary must be {dim}x{dim}, got {u.shape}")
-        if np.abs(u.conj().T @ u - np.eye(dim)).max() > 1e-10:
+        if not np.isfinite(u).all():
+            raise ValueError("b_prep must be finite: it has a NaN or inf entry")
+        if not np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-10:
             raise ValueError("b-prep operator is not unitary")
         if u.imag.any():
             raise ValueError("b_prep must be real: the readouts have no layers for Im(U Z_q U^dag)")
@@ -442,7 +435,7 @@ class CostEvaluator:
         return forms[..., 1] / denominator
 
     def local_cost(self, theta: np.ndarray, shots=None, rng=None) -> CostBreakdown:
-        return self.local_cost_of_state(ansatz_state(self.ansatz, theta), shots, rng)
+        return self.local_cost_of_state(ansatz_amplitudes(self.ansatz, theta), shots, rng)
 
     def local_cost_of_state(self, amplitudes, shots=None, rng=None) -> CostBreakdown:
         """The cost as a linear form in the full_sym readouts (exact or shot-sampled).
@@ -525,10 +518,7 @@ def rescale_solution(x: np.ndarray, system: problem.BlockSystem) -> np.ndarray:
         raise ValueError(f"expected {dim} amplitudes on the last axis, got shape {x.shape}")
     ax = np.add.reduce(system.a_reduced * x[..., None, :], -1)
     norm2 = np.add.reduce(ax * ax, -1)
-    # once per call: NaN fails both bounds, an overflowed inf the upper one
-    if not (np.minimum.reduce(norm2, axis=None) >= 1e-18
-            and np.maximum.reduce(norm2, axis=None) < np.inf):
-        raise DegenerateStateError("A x is numerically zero or not finite; run did not converge")
+    _check_norm(norm2, 1e-18, "A x is numerically zero or not finite; run did not converge")
     scale = np.add.reduce(ax * system.b_raw, -1) / norm2
     return (scale[..., None] * x).reshape(x.shape[:-1] + (system.spec.n_t - 1, system.spec.n))
 
@@ -590,24 +580,40 @@ class SolveRecord:
         )
 
 
-def _b_preparation(system: problem.BlockSystem) -> sim.Circuit | np.ndarray:
-    """Exact preparation of b_state: template circuit if it fits, else a
-    Householder reflection mapping |0...0> onto b_state."""
+def _template(phi_deg: float, num_qubits: int) -> np.ndarray:
+    """The paper's two-angle b-prep as a real matrix, I (x) V(phi) with
+    V = CRy(2 phi - pi) (I (x) Ry(-phi)) (H (x) I) on the two low qubits,
+    multiplied in gate order; column 0 is (cos phi/2, -sin phi/2,
+    sin phi/2, -cos phi/2, 0, ..., 0) / sqrt(2)."""
+    phi = math.radians(phi_deg)
+
+    def ry(angle):
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        return np.array([[c, -s], [s, c]])
+
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) * (1.0 / math.sqrt(2.0))
+    cry = np.eye(4)
+    cry[2:, 2:] = ry(2.0 * phi - math.pi)
+    v = cry @ (np.kron(np.eye(2), ry(-phi)) @ np.kron(h, np.eye(2)))
+    # + 0.0 turns kron's -0.0 (0 times a negative) into the circuit's +0.0
+    return np.kron(np.eye(2 ** (num_qubits - 2)), v) + 0.0
+
+
+def _b_preparation(system: problem.BlockSystem) -> np.ndarray:
+    """Exact preparation of b_state as a real matrix: the `_template` at the
+    fitted angle if its column 0 is b_state, else a Householder reflection
+    mapping |0...0> onto b_state."""
     dim = system.b_state.size
     nq = dim.bit_length() - 1
     if nq >= 2:
-        try:
-            phi = problem.fit_phi_degrees(system.b_state)
-            circuit = sim.prepare_b_circuit(phi, nq)
-            if np.abs(circuit.run() - system.b_state).max() <= 1e-10:
-                return circuit
-        except ValueError:
-            pass
+        template = _template(problem.fit_phi_degrees(system.b_state), nq)
+        if np.abs(template[:, 0] - system.b_state).max() <= 1e-10:
+            return template
     v = np.eye(dim)[0] - system.b_state
     vnorm2 = float(v @ v)
     if vnorm2 < 1e-24:
-        return np.eye(dim, dtype=complex)
-    return (np.eye(dim) - 2.0 * np.outer(v, v) / vnorm2).astype(complex)
+        return np.eye(dim)
+    return np.eye(dim) - 2.0 * np.outer(v, v) / vnorm2
 
 
 # Specs whose builds `_reference` and `_cost_evaluator` keep per process.

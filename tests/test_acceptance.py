@@ -10,8 +10,8 @@ import pytest
 from dataclasses import replace
 from itertools import product
 
-from advqls import pauli, problem, resources, sim, spsa, vqls
-from oracles import label_matrix
+from advqls import pauli, problem, resources, spsa, vqls
+from oracles import ansatz_circuit, label_matrix, prepare_b_circuit
 
 SPEC = problem.ProblemSpec()
 ANSATZ = vqls.AnsatzConfig(num_qubits=3, units=4)
@@ -58,7 +58,7 @@ def test_criterion_1_stencil_matrix():
 
 def test_criterion_2_rhs_state_and_angle():
     system = problem.build_block_system(SPEC)
-    prepared = sim.prepare_b_circuit(-160.725).run().real
+    prepared = prepare_b_circuit(-160.725).run().real
     state_err = np.abs(prepared - system.b_state).max()
     phi = problem.fit_phi_degrees(system.b_state)
     phi_err = abs(phi - (-160.725))
@@ -97,12 +97,11 @@ def test_criterion_3_decomposition_roundtrip():
 def test_criterion_4_cost_equivalence():
     system = problem.build_block_system(SPEC)
     decomp = pauli.decompose(system.a_reduced)
-    b_circuit = sim.prepare_b_circuit(problem.fit_phi_degrees(system.b_state))
-    evaluator = vqls.CostEvaluator(decomp, ANSATZ, b_circuit)
+    u = prepare_b_circuit(problem.fit_phi_degrees(system.b_state)).unitary()
+    evaluator = vqls.CostEvaluator(decomp, ANSATZ, u)
 
     # dense oracle straight from the projector form of the cost
     a = pauli.reconstruct(decomp)
-    u = b_circuit.unitary()
     projector = np.zeros((8, 8), dtype=complex)
     for q in range(3):
         z_label = "I" * q + "Z" + "I" * (2 - q)
@@ -113,7 +112,7 @@ def test_criterion_4_cost_equivalence():
     worst = 0.0
     for _ in range(100):
         theta = rng.uniform(0, 2 * np.pi, 12)
-        x = vqls.ansatz_state(ANSATZ, theta)
+        x = ansatz_circuit(ANSATZ, theta).run()
         psi = a @ x
         dense = float(np.real(x.conj() @ h @ x) / np.real(psi.conj() @ psi))
         worst = max(worst, abs(evaluator.local_cost(theta).value - dense))

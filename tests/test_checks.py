@@ -126,10 +126,6 @@ def _sample_expectation(amplitudes=STATE, label="ZI", shots=16, seed=0):
     return sim.sample_expectation(amplitudes, label, shots, seed)
 
 
-def _prepare_b_circuit(phi_deg=10.0, num_qubits=3):
-    return sim.prepare_b_circuit(phi_deg, num_qubits)
-
-
 def _analytic_solution(t=1.0):
     return problem.analytic_solution(problem.ProblemSpec(), t)
 
@@ -169,7 +165,6 @@ CALLS = {
     "Circuit.cry": (_cry, _unit_state),
     "expectation": (_expectation, _reads_one),
     "sample_expectation": (_sample_expectation, _reads_one),
-    "prepare_b_circuit": (_prepare_b_circuit, _unit_state),
     "analytic_solution": (_analytic_solution, _finite),
     "qubit_count": (_qubit_count, _plain_int),
     "vector_dimension": (_vector_dimension, _plain_int),
@@ -191,7 +186,6 @@ CALL_CASES = [
 @example(case=("sample_expectation", "amplitudes"), value=np.array([np.nan, 1.0, 0.0, 0.0]))
 @example(case=("Circuit.ry", "angle"), value=float("nan"))
 @example(case=("Circuit.h", "q"), value=0.5)
-@example(case=("prepare_b_circuit", "num_qubits"), value=2.5)
 @example(case=("expectation", "amplitudes"), value=np.ones(1))
 @example(case=("vector_dimension", "n"), value=2.0)
 @example(case=("qubit_count", "dimension"), value=True)

@@ -9,11 +9,10 @@ from advqls.sim import (
     Circuit,
     Gate,
     expectation,
-    prepare_b_circuit,
     sample_expectation,
     shot_estimates,
 )
-from oracles import label_matrix
+from oracles import label_matrix, prepare_b_circuit
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

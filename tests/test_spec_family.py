@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advqls import pauli, problem, sim, spsa, vqls
-from oracles import label_matrix
+from advqls import pauli, problem, spsa, vqls
+from oracles import label_matrix, prepare_b_circuit
 
 SHAPES = [(4, 3), (8, 2), (4, 5), (8, 3), (16, 2)]
 
@@ -62,12 +62,8 @@ def test_exact_pipeline_properties(spec, seed):
     error = np.abs(pauli.reconstruct(decomposition) - system.a_reduced).max()
     assert error <= 1e-12 + dropped
 
-    # the two-angle template covers four nonzero amplitudes, so n >= 8
-    # takes the Householder reflection
-    b_prep = vqls._b_preparation(system)
-    assert isinstance(b_prep, sim.Circuit if spec.n == 4 else np.ndarray)
     cfg = vqls.ansatz_for(spec)
-    evaluator = vqls.CostEvaluator(decomposition, cfg, b_prep)
+    evaluator = vqls.CostEvaluator(decomposition, cfg, vqls._b_preparation(system))
 
     rng = np.random.default_rng(seed)
     for _ in range(3):
@@ -83,6 +79,27 @@ def test_exact_pipeline_properties(spec, seed):
     assert abs(term_sum) <= 1e-12
     fields = vqls.rescale_solution(x, system)
     assert np.abs(fields - classical.reshape(spec.n_t - 1, spec.n)).max() <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=specs())
+def test_b_preparation_is_template_or_householder(spec):
+    # the two-angle template covers four nonzero amplitudes, so n >= 8
+    # takes the Householder reflection. The template is the oracle
+    # circuit's unitary byte for byte (its imaginary part is +0.0)
+    system = problem.build_block_system(spec)
+    b = system.b_state
+    circuit = prepare_b_circuit(problem.fit_phi_degrees(b), b.size.bit_length() - 1)
+    b_prep = vqls._b_preparation(system)
+    assert b_prep.dtype == np.float64
+    if spec.n == 4:
+        assert np.abs(circuit.run() - b).max() <= 1e-10
+        assert b_prep.astype(complex).tobytes() == circuit.unitary().tobytes()
+    else:
+        assert np.abs(circuit.run() - b).max() > 1e-10
+        v = np.eye(b.size)[0] - b
+        assert np.abs(b_prep - (np.eye(b.size) - np.outer(v, v) * (2.0 / (v @ v)))).max() <= 1e-12
+        assert np.abs(b_prep[:, 0] - b).max() <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)

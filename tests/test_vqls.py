@@ -19,27 +19,25 @@ from advqls.vqls import (
     CostEvaluator,
     DegenerateStateError,
     ansatz_amplitudes,
-    ansatz_circuit,
-    ansatz_state,
     circuit_count,
     rescale_solution,
     run_ensemble,
     solve,
 )
-from oracles import label_matrix
+from oracles import ansatz_circuit, label_matrix, prepare_b_circuit
 
 SPEC = problem.ProblemSpec()
 SYSTEM = problem.build_block_system(SPEC)
 DECOMP = pauli.decompose(SYSTEM.a_reduced)
 ANSATZ = AnsatzConfig(num_qubits=3, units=4)
-B_CIRCUIT = sim.prepare_b_circuit(problem.fit_phi_degrees(SYSTEM.b_state))
+B_CIRCUIT = prepare_b_circuit(problem.fit_phi_degrees(SYSTEM.b_state))
 # the one line of every degenerate cost
 DEGENERATE = "norm of A|x(theta)> is numerically zero or not finite; cost undefined"
 
 
 @pytest.fixture(scope="module")
 def evaluator():
-    return CostEvaluator(DECOMP, ANSATZ, B_CIRCUIT)
+    return CostEvaluator(DECOMP, ANSATZ, B_CIRCUIT.unitary())
 
 
 def dense_projector_cost(theta: np.ndarray) -> float:
@@ -54,21 +52,21 @@ def dense_projector_cost(theta: np.ndarray) -> float:
         z_label = "I" * q + "Z" + "I" * (num_qubits - 1 - q)
         projector_sum += (np.eye(dim) + label_matrix(z_label)) / 2.0
     h = a.conj().T @ u @ (np.eye(dim) - projector_sum / num_qubits) @ u.conj().T @ a
-    x = ansatz_state(ANSATZ, theta)
+    x = ansatz_circuit(ANSATZ, theta).run()
     psi = a @ x
     return float(np.real(x.conj() @ h @ x) / np.real(psi.conj() @ psi))
 
 
 class TestAnsatz:
     def test_all_zero_angles_real(self):
-        state = ansatz_state(AnsatzConfig(num_qubits=3, units=1), np.zeros(3))
+        state = ansatz_circuit(AnsatzConfig(num_qubits=3, units=1), np.zeros(3)).run()
         assert np.abs(state.imag).max() <= 1e-12
 
     def test_amplitudes_real_over_random_angles(self):
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(1000):
-            state = ansatz_state(ANSATZ, rng.uniform(0, 2 * np.pi, 12))
+            state = ansatz_circuit(ANSATZ, rng.uniform(0, 2 * np.pi, 12)).run()
             worst = max(worst, np.abs(state.imag).max())
         assert worst <= 1e-12
 
@@ -85,7 +83,7 @@ class TestAnsatz:
 
     def test_angle_count_checked(self):
         with pytest.raises(ValueError, match="angles"):
-            ansatz_state(ANSATZ, np.zeros(7))
+            ansatz_circuit(ANSATZ, np.zeros(7))
         with pytest.raises(ValueError, match="angles"):
             ansatz_amplitudes(ANSATZ, np.zeros(7))
 
@@ -152,7 +150,7 @@ class TestBetaTerm:
     def test_identity_times_pauli_is_expectation(self, evaluator):
         # III is term 0; circuit (0, j) reads Re(e^{i phi} <x|P_j|x>)
         theta = np.random.default_rng(9).uniform(0, 2 * np.pi, 12)
-        state = ansatz_state(ANSATZ, theta)
+        state = ansatz_circuit(ANSATZ, theta).run()
         readouts = evaluator.local_cost(theta).readouts
         c = DECOMP.coefficients
         circuits = full_sym_circuits(3, DECOMP.term_count)
@@ -168,7 +166,7 @@ class TestDeltaTerm:
         identity_prep = np.eye(8, dtype=complex)
         ev = CostEvaluator(DECOMP, ANSATZ, identity_prep)
         theta = np.random.default_rng(11).uniform(0, 2 * np.pi, 12)
-        state = ansatz_state(ANSATZ, theta)
+        state = ansatz_circuit(ANSATZ, theta).run()
         readouts = ev.local_cost(theta).readouts
         circuits = full_sym_circuits(3, DECOMP.term_count)
         for q in range(3):
@@ -337,14 +335,13 @@ class TestSampledStrings:
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5)])
     def test_circuits_match_dense_hadamard_tests(self, n, n_t):
         system = problem.build_block_system(problem.ProblemSpec(n=n, n_t=n_t))
-        prep = vqls._b_preparation(system)
-        u = prep.unitary() if isinstance(prep, sim.Circuit) else prep
+        u = vqls._b_preparation(system)
         ev, cfg = _spec_evaluator(n, n_t)
         nq, c = cfg.num_qubits, ev.coefficients
         paulis = [label_matrix(label) for label in ev.labels]
         z_labels = ["I" * q + "Z" + "I" * (nq - 1 - q) for q in range(nq)]
         theta = np.random.default_rng(n * n_t).uniform(0, 2 * np.pi, cfg.n_params)
-        x = ansatz_state(cfg, theta)
+        x = ansatz_circuit(cfg, theta).run()
         rng = RecordingGenerator(0)
         ev.local_cost(theta, 8192, rng)
         (_, p, _), = rng.draws
@@ -461,7 +458,7 @@ class TestLocalCost:
         assert pickle.dumps(np.random.get_state()) == global_state
 
     def test_complex_amplitudes_must_be_real(self, evaluator):
-        # a zero imaginary part, as `ansatz_state` gives, reads like the
+        # a zero imaginary part, as the ansatz circuit gives, reads like the
         # real amplitudes; any other is rejected
         x = ansatz_amplitudes(ANSATZ, np.random.default_rng(43).uniform(0, 2 * np.pi, (2, 3, 12)))
         real = evaluator.local_cost_of_state(x)
@@ -500,7 +497,7 @@ class TestLocalCost:
 
     def test_sign_flip_invariance(self, evaluator):
         theta = np.random.default_rng(29).uniform(0, 2 * np.pi, 12)
-        state = ansatz_state(ANSATZ, theta)
+        state = ansatz_amplitudes(ANSATZ, theta)
         a = evaluator.local_cost_of_state(state).value
         b = evaluator.local_cost_of_state(-state).value
         assert a == pytest.approx(b, abs=1e-12)
@@ -556,7 +553,16 @@ class TestLocalCost:
     def test_empty_decomposition_rejected(self):
         empty = pauli.PauliDecomposition(num_qubits=3, terms=())
         with pytest.raises(ValueError, match="no terms"):
-            CostEvaluator(empty, ANSATZ, B_CIRCUIT)
+            CostEvaluator(empty, ANSATZ, B_CIRCUIT.unitary())
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_b_prep_rejected(self, entry):
+        # a NaN entry passed the unitarity test and gave NaN costs, and an
+        # inf one raised NumPy's RuntimeWarning from U^dag U
+        u = B_CIRCUIT.unitary().real
+        u[0, 0] = entry
+        with pytest.raises(ValueError, match="^b_prep must be finite"):
+            CostEvaluator(DECOMP, ANSATZ, u)
 
     def test_complex_b_prep_rejected(self):
         # the readouts' real form has no layers for Im(U Z_q U^dag)
@@ -566,6 +572,22 @@ class TestLocalCost:
 
 
 class TestDenseCost:
+    @pytest.mark.parametrize("row", [None, 5], ids=["vector", "one-row-of-24"])
+    def test_overflowing_norm_flagged(self, evaluator, row):
+        # finite amplitudes whose x^T G x overflows to inf gave a NaN cost;
+        # both costs raise the one degenerate line, as rescale_solution
+        # raises its own. NumPy warns on the overflow
+        x = np.full(8, 1e200)
+        if row is not None:
+            thetas = np.random.default_rng(44).uniform(0, 2 * np.pi, (24, 12))
+            batch = ansatz_amplitudes(ANSATZ, thetas)
+            batch[row], x = x, batch
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cost in (evaluator.dense_cost, evaluator.local_cost_of_state):
+                with pytest.raises(DegenerateStateError) as info:
+                    cost(x)
+                assert str(info.value) == DEGENERATE
+
     @pytest.mark.parametrize("n, n_t", [(4, 3), (4, 5), (16, 3)])
     def test_matches_term_sum(self, n, n_t):
         # (16, 3) has no two-angle template, so b-prep is the Householder reflection
@@ -1178,8 +1200,20 @@ class TestRegisterCap:
 class TestBPreparation:
     def test_template_used_for_reference_system(self):
         prep = vqls._b_preparation(SYSTEM)
-        assert isinstance(prep, sim.Circuit)
-        assert np.abs(prep.run() - SYSTEM.b_state).max() <= 1e-10
+        assert prep.dtype == np.float64
+        assert prep.tobytes() == B_CIRCUIT.unitary().real.tobytes()
+        assert np.abs(prep[:, 0] - SYSTEM.b_state).max() <= 1e-10
+
+    @pytest.mark.parametrize("num_qubits", range(2, 7))
+    def test_template_matches_circuit_unitary(self, num_qubits):
+        # the closed form against the gate-by-gate circuit, byte for byte,
+        # signed zeros included; the circuit's imaginary part is +0.0
+        rng = np.random.default_rng(num_qubits)
+        for phi in [*rng.uniform(-360.0, 360.0, 200), -160.725, 0.0, 90.0, -90.0, 180.0]:
+            template = vqls._template(phi, num_qubits)
+            circuit = prepare_b_circuit(phi, num_qubits).unitary()
+            assert template.dtype == np.float64
+            assert template.astype(complex).tobytes() == circuit.tobytes(), phi
 
     def test_householder_fallback(self):
         # a right-hand side that breaks the two-angle template
@@ -1195,6 +1229,6 @@ class TestBPreparation:
             u0=SYSTEM.u0,
         )
         prep = vqls._b_preparation(fake)
-        assert isinstance(prep, np.ndarray)
+        assert isinstance(prep, np.ndarray) and prep.dtype == np.float64
         assert np.abs(prep.conj().T @ prep - np.eye(8)).max() <= 1e-10
         assert np.abs(prep[:, 0] - b).max() <= 1e-10
